@@ -5,12 +5,14 @@ vs content-addressed cache, on the Table VI detection campaign.
 Emits ``BENCH_campaign.json`` — the start of the campaign-throughput
 perf trajectory.  Three phases over the same unit list:
 
-1. ``serial_cold``   — jobs=1, empty cache (the PR 1 baseline:
-   a fresh subprocess per unit);
-2. ``parallel_cold`` — jobs=N, empty cache, served by the supervised
-   warm worker pool (``--no-pool`` reverts to per-unit subprocesses);
+1. ``serial_cold``   — jobs=1, empty cache, on a 1-worker pool (the
+   same path as ``scord-experiments --jobs 1``);
+2. ``parallel_cold`` — jobs=N, empty cache, on an N-worker pool;
 3. ``parallel_warm`` — jobs=N, re-run against phase 2's cache (every
    unit is a content-addressed hit; no simulation at all).
+
+Every phase runs on the supervised warm worker pool, so the speedup is
+parallelism alone, not a cheaper per-unit spawn.
 
 The serial and parallel phases are also checked record-for-record
 identical, so the speedup is never bought with nondeterminism.
@@ -30,12 +32,13 @@ import sys
 import tempfile
 import time
 
-from repro.experiments.campaign import CampaignExecutor, RunSpec
+from repro.experiments.campaign import RunSpec
 from repro.experiments.parallel import (
     ParallelCampaignExecutor,
     ResultCache,
 )
 from repro.experiments.store import atomic_write_json, semantic_record_dict
+from repro.experiments.supervisor import PoolConfig, PoolSupervisor
 from repro.scor.apps.registry import ALL_APPS
 
 BENCH_SCHEMA = 1
@@ -113,39 +116,29 @@ def bench_telemetry(repeats: int = 3) -> dict:
     }
 
 
-def run_phase(units, jobs, cache, timeout, verbose, pool=False) -> dict:
-    supervisor = None
-    if pool:
-        from repro.experiments.supervisor import PoolConfig, PoolSupervisor
-
-        supervisor = PoolSupervisor(
-            PoolConfig(workers=jobs, unit_timeout=timeout, max_retries=1)
-        )
-        executor = supervisor
-    else:
-        executor = CampaignExecutor(timeout=timeout, max_retries=1)
+def run_phase(units, jobs, cache, timeout, verbose) -> dict:
+    supervisor = PoolSupervisor(
+        PoolConfig(workers=jobs, unit_timeout=timeout, max_retries=1)
+    )
     parallel = ParallelCampaignExecutor(
-        executor, jobs=jobs, cache=cache, verbose=verbose
+        supervisor, jobs=jobs, cache=cache, verbose=verbose
     )
     started = time.time()
     try:
         outcome = parallel.run_units(units)
     finally:
-        if supervisor is not None:
-            supervisor.close()
+        supervisor.close()
     seconds = time.time() - started
-    phase = {
+    return {
         "seconds": round(seconds, 3),
         "jobs": outcome.jobs,
         "executed": outcome.executed,
         "cache_hits": outcome.cache_hits,
         "failed": len(outcome.failures),
-        "mode": "pool" if pool else "subprocess",
+        "mode": "pool",
         "outcome": outcome,
+        "pool": supervisor.stats(),
     }
-    if supervisor is not None:
-        phase["pool"] = supervisor.stats()
-    return phase
 
 
 def main(argv=None) -> int:
@@ -163,9 +156,6 @@ def main(argv=None) -> int:
     parser.add_argument("--work-dir", default=None,
                         help="directory for the phase caches "
                         "(default: a fresh temp dir)")
-    parser.add_argument("--no-pool", dest="pool", action="store_false",
-                        help="drive the parallel phases with a fresh "
-                        "subprocess per unit instead of the warm pool")
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 
@@ -187,26 +177,25 @@ def main(argv=None) -> int:
     log(f"[bench] campaign={args.campaign} units={len(units)} "
         f"jobs={jobs} cpus={cpus}")
 
-    log("[bench] phase 1/3: serial cold (jobs=1)")
+    log("[bench] phase 1/3: serial cold (jobs=1, 1-worker pool)")
     serial = run_phase(
         units, jobs=1, cache=ResultCache(os.path.join(work_dir, "serial")),
         timeout=args.timeout, verbose=verbose,
     )
     log(f"[bench]   {serial['seconds']}s, {serial['failed']} failed")
 
-    mode = "pool" if args.pool else "subprocess"
-    log(f"[bench] phase 2/3: parallel cold (jobs={jobs}, {mode})")
+    log(f"[bench] phase 2/3: parallel cold (jobs={jobs}, {jobs}-worker pool)")
     warm_cache = ResultCache(os.path.join(work_dir, "parallel"))
     cold = run_phase(
         units, jobs=jobs, cache=warm_cache,
-        timeout=args.timeout, verbose=verbose, pool=args.pool,
+        timeout=args.timeout, verbose=verbose,
     )
     log(f"[bench]   {cold['seconds']}s, {cold['failed']} failed")
 
     log(f"[bench] phase 3/3: parallel warm (jobs={jobs}, cache hits)")
     warm = run_phase(
         units, jobs=jobs, cache=warm_cache,
-        timeout=args.timeout, verbose=verbose, pool=args.pool,
+        timeout=args.timeout, verbose=verbose,
     )
     log(f"[bench]   {warm['seconds']}s, "
         f"{warm['cache_hits']}/{len(units)} cache hits")
@@ -238,7 +227,6 @@ def main(argv=None) -> int:
         "jobs_requested": args.jobs,
         "cpus": cpus,
         "cpu_bound": cpu_bound,
-        "pool": args.pool,
         "deterministic": deterministic,
         "phases": {
             name: {k: v for k, v in phase.items() if k != "outcome"}

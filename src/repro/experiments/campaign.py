@@ -1,42 +1,34 @@
-"""Fault-tolerant campaign execution: crash isolation, timeout, retry.
+"""Campaign units, failures, and the runner over an isolated executor.
 
 The in-process :class:`~repro.experiments.runner.Runner` is fast but
 fragile — one hung kernel wedges the whole ``scord-experiments all``
-campaign and one crash loses it.  This module supplies the resilient
-execution layer:
+campaign and one crash loses it.  This module holds the pieces every
+executor shares:
 
-* each simulation runs in a **worker subprocess** (``python -m
-  repro.experiments.campaign``), so a crash or hang is contained to one
-  run;
-* the parent enforces a **wall-clock timeout** (the worker additionally
-  arms an in-process :class:`~repro.common.guard.Watchdog` at ~80% of
-  it, so simulator-level hangs die with a structured hang report before
-  the SIGKILL);
-* failures are **retried with exponential backoff** up to a bound, then
-  surfaced as a :class:`~repro.common.errors.RunFailedError` carrying a
-  structured :class:`RunFailure` — which exhibits render as
-  ``FAILED(reason)`` cells and the CLI collects into a failure manifest;
-* completed records are durably appended to the
-  :class:`~repro.experiments.store.RunStore` **by the parent, never the
-  worker**: a worker that is SIGKILLed, OOM-killed, or desyncs mid-unit
-  can therefore never tear a line in the shared JSONL store — the blast
-  radius of a worker fault is exactly one in-flight unit.
+* :class:`RunSpec` — one simulation request, serializable across the
+  worker boundary;
+* :class:`RunFailure` — a run that failed permanently (retries
+  exhausted), which exhibits render as ``FAILED(reason)`` cells and the
+  CLI collects into a failure manifest;
+* :class:`CampaignRunner` — a :class:`Runner` whose cache misses go to
+  an executor; in a campaign that is the supervised worker pool
+  (:class:`~repro.experiments.supervisor.PoolSupervisor`), which brings
+  crash isolation, unit timeouts, and retry with backoff;
+* :class:`InProcessExecutor` — the serial, watchdog-guarded floor the
+  pool degrades to when it cannot keep workers alive.
 
-Fault injection (``repro.experiments.faults``) plugs in as a per-attempt
-plan the parent serializes into the worker spec — recovery paths are
-proven by tests, not assumed.
+Completed records are durably appended to the
+:class:`~repro.experiments.store.RunStore` **by the parent, never a
+worker**: a worker that is SIGKILLed, OOM-killed, or desyncs mid-unit
+can therefore never tear a line in the shared JSONL store — the blast
+radius of a worker fault is exactly one in-flight unit.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
-import re
-import subprocess
-import sys
 import threading
-import time
 from typing import List, Optional, Tuple, Type
 
 from repro.common.errors import (
@@ -44,30 +36,28 @@ from repro.common.errors import (
     ReproError,
     RunFailedError,
     RunTimeout,
-    WorkerCrash,
+    WatchdogTimeout,
     error_code,
 )
 from repro.common.guard import GuardConfig, Watchdog
 from repro.experiments.runner import Runner, RunRecord
-from repro.experiments.store import (
-    RunStore,
-    record_from_dict,
-    record_to_dict,
-)
+from repro.experiments.store import RunStore
 from repro.scor.apps.base import ScorApp
 
 SPEC_SCHEMA = 1
 
-#: worker exit codes (parent classifies failures by these)
-EXIT_OK = 0
-EXIT_BAD_SPEC = 2
-EXIT_REPRO_ERROR = 4
-EXIT_UNEXPECTED = 5
-
-_WORKER_ERROR_RE = re.compile(r"^\[worker-error\] ([a-z-]+): (.*)$")
-
 #: retryable failure categories; deterministic misconfigurations are not
 _NO_RETRY_CODES = frozenset({"config", "kernel"})
+
+
+def _unit_failure_code(err: BaseException) -> str:
+    """The failure category of a unit that ran under a unit timeout.
+
+    Executors arm the simulator's watchdog from the unit timeout, so a
+    watchdog expiry is that timeout firing from inside the simulation.
+    """
+    code = error_code(err)
+    return RunTimeout.code if code == WatchdogTimeout.code else code
 
 
 # ----------------------------------------------------------------------
@@ -143,147 +133,6 @@ class RunFailure:
         }
 
 
-# ----------------------------------------------------------------------
-# Parent side: the executor
-# ----------------------------------------------------------------------
-class CampaignExecutor:
-    """Runs simulations in isolated workers with timeout and retry."""
-
-    def __init__(
-        self,
-        timeout: Optional[float] = None,
-        max_retries: int = 1,
-        backoff_seconds: float = 0.25,
-        fault_plan=None,
-        verbose: bool = False,
-        flight=None,
-        forensics_dir=None,
-    ):
-        if max_retries < 0:
-            raise ConfigError("max_retries must be >= 0")
-        self.timeout = timeout
-        self.max_retries = max_retries
-        self.backoff_seconds = backoff_seconds
-        self.fault_plan = fault_plan
-        self.verbose = verbose
-        #: optional FlightConfig: workers capture each unit in flight and
-        #: write forensic bundles for detected races into forensics_dir
-        self.flight = flight
-        self.forensics_dir = forensics_dir
-        #: per-unit forensics summaries reported back by workers
-        #: (list.append is atomic — dispatcher threads share this)
-        self.forensics_units: List[dict] = []
-
-    # ------------------------------------------------------------------
-    def execute(self, spec: RunSpec) -> RunRecord:
-        """Run *spec* to completion; raises :class:`RunFailedError`."""
-        attempts = self.max_retries + 1
-        last_category = "unknown"
-        last_message = ""
-        for attempt in range(1, attempts + 1):
-            fault = None
-            if self.fault_plan is not None:
-                fault = self.fault_plan.action_for(
-                    spec.app, spec.detector, spec.memory, attempt
-                )
-            try:
-                return self._attempt(spec, fault)
-            except (RunTimeout, WorkerCrash, ReproError) as err:
-                last_category = error_code(err)
-                last_message = str(err)
-                if self.verbose:
-                    print(
-                        f"  [attempt {attempt}/{attempts} failed] "
-                        f"{spec.describe()}: {last_category}: {last_message}",
-                        file=sys.stderr,
-                        flush=True,
-                    )
-                if last_category in _NO_RETRY_CODES:
-                    break
-                if attempt < attempts:
-                    time.sleep(self.backoff_seconds * (2 ** (attempt - 1)))
-        failure = RunFailure(spec, last_category, last_message, attempt)
-        raise RunFailedError(
-            f"{spec.describe()} failed after {attempt} attempt(s): "
-            f"{last_category}: {last_message}",
-            failure=failure,
-        )
-
-    # ------------------------------------------------------------------
-    def _attempt(self, spec: RunSpec, fault: Optional[str]) -> RunRecord:
-        payload = spec.to_dict()
-        if self.timeout:
-            # In-process watchdog fires before the parent's SIGKILL so
-            # simulator-level hangs produce a structured hang report.
-            payload["deadline"] = self.timeout * 0.8
-        if fault is not None:
-            payload["fault"] = fault
-        if self.flight is not None:
-            payload["flight"] = self.flight.to_dict()
-            if self.forensics_dir:
-                payload["forensics_dir"] = os.fspath(self.forensics_dir)
-        cmd = [sys.executable, "-m", "repro.experiments.campaign"]
-        try:
-            proc = subprocess.run(
-                cmd,
-                input=json.dumps(payload),
-                capture_output=True,
-                text=True,
-                timeout=self.timeout,
-                env=_worker_env(),
-            )
-        except subprocess.TimeoutExpired:
-            raise RunTimeout(
-                f"worker exceeded the {self.timeout:g}s timeout and was "
-                "killed"
-            ) from None
-        if proc.returncode == EXIT_OK:
-            return self._parse_record(spec, proc.stdout)
-        raise self._classify_failure(proc)
-
-    def _parse_record(self, spec: RunSpec, stdout: str) -> RunRecord:
-        lines = [
-            line.strip() for line in stdout.splitlines() if line.strip()
-        ]
-        if not lines:
-            raise WorkerCrash(
-                f"worker for {spec.describe()} exited cleanly without a "
-                "record"
-            )
-        # The record is the LAST line; earlier lines may carry
-        # side-channel payloads (forensics summaries) or stray prints.
-        try:
-            record = record_from_dict(json.loads(lines[-1]))
-        except (json.JSONDecodeError, ReproError) as err:
-            raise WorkerCrash(
-                f"worker for {spec.describe()} exited cleanly but "
-                f"produced an unreadable record: {err}"
-            ) from err
-        for line in lines[:-1]:
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(payload, dict) and "forensics_unit" in payload:
-                self.forensics_units.append(payload["forensics_unit"])
-        return record
-
-    @staticmethod
-    def _classify_failure(proc) -> ReproError:
-        stderr_lines = proc.stderr.strip().splitlines()
-        for line in reversed(stderr_lines):
-            match = _WORKER_ERROR_RE.match(line.strip())
-            if match:
-                code, message = match.groups()
-                err = ReproError(message)
-                err.code = code
-                return err
-        tail = " | ".join(stderr_lines[-3:]) if stderr_lines else "(no stderr)"
-        return WorkerCrash(
-            f"worker died with exit code {proc.returncode}: {tail}"
-        )
-
-
 def _worker_env() -> dict:
     """The parent's environment with this package importable."""
     import repro
@@ -307,11 +156,16 @@ class CampaignRunner(Runner):
     cache, but a hung or crashed simulation costs one run (retried, then
     marked failed) instead of the campaign.  Permanent failures are
     collected in :attr:`failures` for the CLI's manifest.
+
+    *executor* is a :class:`~repro.experiments.supervisor.PoolSupervisor`;
+    flight capture happens worker-side, so the supervisor is built with
+    the campaign's flight config and collects the per-unit forensics
+    summaries the workers report back.
     """
 
     def __init__(
         self,
-        executor: CampaignExecutor,
+        executor,
         verbose: bool = True,
         store: Optional[RunStore] = None,
         preload: bool = True,
@@ -327,11 +181,6 @@ class CampaignRunner(Runner):
             verbose=verbose, store=store, preload=preload,
             telemetry=telemetry, flight=flight, forensics_dir=forensics_dir,
         )
-        # Capture happens worker-side; the executor ships the config and
-        # collects the per-unit summaries the workers report back.
-        if flight is not None:
-            executor.flight = flight
-            executor.forensics_dir = forensics_dir
         self.executor = executor
         self.failures: List[RunFailure] = []
         #: units a parallel prefetch already failed permanently; keyed by
@@ -339,10 +188,7 @@ class CampaignRunner(Runner):
         self.prefailed: dict = {}
 
     def _all_forensics_units(self) -> List[dict]:
-        return (
-            list(self.forensics_units)
-            + list(getattr(self.executor, "forensics_units", []))
-        )
+        return self.executor.all_forensics_units()
 
     def _simulate(
         self,
@@ -367,12 +213,6 @@ class CampaignRunner(Runner):
                 self.failures.append(err.failure)
             raise
 
-    def _persist(self, record: RunRecord) -> None:
-        # Persistence is strictly parent-side: the worker never touches
-        # the store (a crashing worker must not be able to tear a line),
-        # so every fresh record is checkpointed here.
-        super()._persist(record)
-
 
 # ----------------------------------------------------------------------
 # The in-process fallback executor
@@ -380,8 +220,8 @@ class CampaignRunner(Runner):
 class InProcessExecutor:
     """Serial in-process executor: the floor of the degradation ladder.
 
-    Same ``execute(spec) -> RunRecord`` contract as
-    :class:`CampaignExecutor`, but no subprocess at all — the simulation
+    Same ``execute(spec) -> RunRecord`` contract as the pool
+    supervisor, but no subprocess at all — the simulation
     runs in the calling interpreter under a watchdog.  The pool
     supervisor falls back to this when workers cannot be sustained, so
     "the environment cannot keep a subprocess alive" degrades a campaign
@@ -430,7 +270,7 @@ class InProcessExecutor:
                 return record
             except ReproError as err:
                 failure = RunFailure(
-                    spec, error_code(err), str(err), attempts=1
+                    spec, _unit_failure_code(err), str(err), attempts=1
                 )
                 raise RunFailedError(
                     f"{spec.describe()} failed in-process: "
@@ -443,82 +283,3 @@ class InProcessExecutor:
                     f"{spec.describe()} failed in-process: config: {err}",
                     failure=failure,
                 ) from err
-
-
-# ----------------------------------------------------------------------
-# Worker side
-# ----------------------------------------------------------------------
-def worker_main(argv=None) -> int:
-    """``python -m repro.experiments.campaign``: run one spec from stdin.
-
-    Protocol: read a JSON spec on stdin; simulate; print the record as
-    one JSON line on stdout.  The *parent* persists the record — a
-    worker never opens the store, so no worker fault can corrupt it.
-    Errors exit non-zero with a final ``[worker-error] code: message``
-    line on stderr.
-    """
-    raw = sys.stdin.read()
-    try:
-        payload = json.loads(raw)
-        spec = RunSpec.from_dict(payload)
-    except (json.JSONDecodeError, KeyError, ReproError) as err:
-        print(f"[worker-error] config: bad spec: {err}", file=sys.stderr)
-        return EXIT_BAD_SPEC
-
-    # Injected faults fire before the simulation, exactly like a real
-    # hang/crash would strike mid-campaign.
-    from repro.experiments.faults import apply_fault
-
-    try:
-        apply_fault(payload.get("fault"))
-        deadline = payload.get("deadline")
-        guard_factory = None
-        if deadline:
-            guard_factory = lambda: Watchdog(
-                GuardConfig(deadline_seconds=float(deadline))
-            )
-        from repro.scor.apps.registry import app_by_name
-
-        flight = None
-        if payload.get("flight") is not None:
-            from repro.telemetry.flight import FlightConfig
-
-            flight = FlightConfig.from_dict(payload["flight"])
-        runner = Runner(
-            verbose=False,
-            guard_factory=guard_factory,
-            flight=flight,
-            forensics_dir=payload.get("forensics_dir"),
-        )
-        record = runner.run(
-            app_by_name(spec.app),
-            detector=spec.detector,
-            memory=spec.memory,
-            races=spec.races,
-            seed=spec.seed,
-        )
-    except ReproError as err:
-        if err.diagnostics:
-            print(err.diagnostics, file=sys.stderr)
-        print(f"[worker-error] {err.code}: {err}", file=sys.stderr)
-        return EXIT_REPRO_ERROR
-    except KeyError as err:
-        print(f"[worker-error] config: {err}", file=sys.stderr)
-        return EXIT_BAD_SPEC
-    except Exception as err:  # noqa: BLE001 - the whole point is isolation
-        print(
-            f"[worker-error] worker-crash: {type(err).__name__}: {err}",
-            file=sys.stderr,
-        )
-        return EXIT_UNEXPECTED
-
-    # Side-channel lines precede the record line (the parent parses the
-    # last line as the record and collects these).
-    for entry in runner.forensics_units:
-        print(json.dumps({"forensics_unit": entry}, separators=(",", ":")))
-    print(json.dumps(record_to_dict(record), separators=(",", ":")))
-    return EXIT_OK
-
-
-if __name__ == "__main__":
-    sys.exit(worker_main())

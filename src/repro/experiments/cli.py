@@ -10,9 +10,11 @@ Resilience (see docs/architecture.md, "Resilience"):
 * ``--store PATH`` checkpoints every completed simulation to a durable
   JSONL store; ``--resume`` preloads it, so a killed campaign restarts
   without re-simulating finished runs.
-* ``--isolate`` runs each simulation in a worker subprocess;
-  ``--timeout``/``--max-retries`` (which imply ``--isolate``) bound and
-  retry hung or crashed workers.
+* ``--jobs N`` (N >= 1) runs each simulation in a supervised pool of N
+  persistent warm workers (see docs/architecture.md §6) with heartbeat
+  liveness, crash recycling, retry, and graceful degradation;
+  ``--timeout`` bounds and retries pool units that overrun.  The
+  default, ``--jobs 0``, simulates in-process.
 * A failing run costs its table cells (``FAILED(reason)``), a failing
   exhibit costs one structured error line — never the campaign.  The
   exit code is non-zero if anything failed, and ``--manifest PATH``
@@ -20,15 +22,11 @@ Resilience (see docs/architecture.md, "Resilience"):
 
 Parallelism and caching (see docs/architecture.md, "Parallel campaigns"):
 
-* ``--jobs N`` (implies ``--isolate``) shards the campaign's work units
-  across N concurrent workers with work stealing and a deterministic
-  merge — results are identical to ``--jobs 1``.  By default the units
-  are served by a supervised pool of persistent warm workers
-  (``--pool``; see docs/architecture.md §11) with heartbeat liveness,
-  crash recycling, and graceful degradation; ``--no-pool`` reverts to a
-  fresh subprocess per unit.  ``--worker-ttl`` / ``--max-worker-restarts``
-  tune the pool's recycling policy, and ``--chaos-kill-every N``
-  deliberately SIGKILLs a worker every Nth unit (resilience drills).
+* With ``--jobs N`` the campaign's work units are sharded across the N
+  workers with work stealing and a deterministic merge — results are
+  identical to ``--jobs 1`` and to the in-process default.
+  ``--chaos-kill-every N`` deliberately SIGKILLs a worker every Nth
+  unit (resilience drills).
 * ``--cache-dir PATH`` layers a content-addressed result cache over the
   runs: units are keyed by a stable hash of the resolved configs, kernel
   identity, seed, and schema version, so re-runs and overlapping
@@ -39,7 +37,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 import time
 
@@ -221,22 +218,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "re-simulating them",
     )
     parser.add_argument(
-        "--isolate",
-        action="store_true",
-        help="run each simulation in an isolated worker subprocess",
-    )
-    parser.add_argument(
         "--timeout",
         type=float,
         metavar="SECONDS",
-        help="per-simulation wall-clock timeout (implies --isolate)",
-    )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        metavar="N",
-        help="retries (with backoff) for a failed simulation "
-        "(implies --isolate; default 1 when isolated)",
+        help="per-simulation wall-clock timeout for pool units (needs "
+        "--jobs N); an overrunning unit is retried once, then fails as "
+        "run-timeout",
     )
     parser.add_argument(
         "--manifest",
@@ -247,40 +234,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--jobs",
         type=int,
-        default=1,
-        metavar="N",
-        help="run the campaign's simulations across N concurrent worker "
-        "subprocesses (implies --isolate; 0 = one per CPU)",
-    )
-    parser.add_argument(
-        "--pool",
-        dest="pool",
-        action="store_true",
-        default=None,
-        help="serve parallel units from a supervised pool of persistent "
-        "warm workers (default when --jobs > 1)",
-    )
-    parser.add_argument(
-        "--no-pool",
-        dest="pool",
-        action="store_false",
-        help="use a fresh worker subprocess per unit instead of the pool",
-    )
-    parser.add_argument(
-        "--worker-ttl",
-        type=int,
         default=0,
         metavar="N",
-        help="recycle a pool worker after it has served N units "
-        "(0 = never; default 0)",
-    )
-    parser.add_argument(
-        "--max-worker-restarts",
-        type=int,
-        default=8,
-        metavar="N",
-        help="pool-wide budget of fault respawns before the pool "
-        "degrades to the serial in-process executor (default 8)",
+        help="run the campaign's simulations on a supervised pool of N "
+        "isolated worker processes (0 = in-process, no isolation; "
+        "default 0)",
     )
     parser.add_argument(
         "--chaos-kill-every",
@@ -347,8 +305,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--flight-out",
         metavar="PATH",
         help="write the in-process flight recorder's JSONL event log to "
-        "PATH (implies --flight; isolated/pool units capture worker-side "
-        "and export through --forensics-out instead)",
+        "PATH (implies --flight; pool units capture worker-side and "
+        "export through --forensics-out instead)",
     )
     parser.add_argument(
         "--forensics-out",
@@ -359,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--event-log",
         metavar="PATH",
-        help="with --pool: stream the workers' structured JSONL event "
+        help="with --jobs N: stream the workers' structured JSONL event "
         "log (unit lifecycle + forensics, with campaign/unit/worker "
         "correlation IDs) to PATH",
     )
@@ -424,34 +382,26 @@ def _build_cache(args):
     return ResultCache(args.cache_dir)
 
 
-def _build_runner(args, cache=None, telemetry=None, flight=None) -> Runner:
+def _build_runner(
+    args, supervisor=None, cache=None, telemetry=None, flight=None
+) -> Runner:
+    """The in-process Runner, or a CampaignRunner over *supervisor*."""
     store = None
     if args.store:
         from repro.experiments.store import RunStore
 
         store = RunStore(args.store)
-    isolate = (
-        args.isolate
-        or args.timeout is not None
-        or args.max_retries is not None
-        or args.jobs != 1
-    )
     verbose = not args.quiet
-    if not isolate:
+    if supervisor is None:
         return Runner(
             verbose=verbose, store=store, preload=args.resume,
             result_cache=cache, telemetry=telemetry,
             flight=flight, forensics_dir=args.forensics_out,
         )
-    from repro.experiments.campaign import CampaignExecutor, CampaignRunner
+    from repro.experiments.campaign import CampaignRunner
 
-    executor = CampaignExecutor(
-        timeout=args.timeout,
-        max_retries=args.max_retries if args.max_retries is not None else 1,
-        verbose=verbose,
-    )
     runner = CampaignRunner(
-        executor, verbose=verbose, store=store, preload=args.resume,
+        supervisor, verbose=verbose, store=store, preload=args.resume,
         telemetry=telemetry,
         flight=flight, forensics_dir=args.forensics_out,
     )
@@ -475,10 +425,8 @@ def _profile_section(runner, telemetry, elapsed_seconds):
     return section
 
 
-def _build_pool(args, jobs, telemetry=None, flight=None):
-    """A (PoolSupervisor, fault_plan) pair, or (None, None) without --pool."""
-    if not args.pool:
-        return None, None
+def _build_pool(args, telemetry=None, flight=None):
+    """A (PoolSupervisor, fault_plan) pair of ``--jobs`` workers."""
     from repro.experiments.supervisor import PoolConfig, PoolSupervisor
 
     fault_plan = None
@@ -486,17 +434,8 @@ def _build_pool(args, jobs, telemetry=None, flight=None):
         from repro.experiments.faults import ChaosPlan
 
         fault_plan = ChaosPlan("pool-kill", every=args.chaos_kill_every)
-    config = PoolConfig(
-        workers=jobs,
-        worker_ttl=args.worker_ttl,
-        max_worker_restarts=args.max_worker_restarts,
-        unit_timeout=args.timeout,
-        max_retries=(
-            args.max_retries if args.max_retries is not None else 1
-        ),
-    )
     supervisor = PoolSupervisor(
-        config,
+        PoolConfig(workers=args.jobs, unit_timeout=args.timeout),
         fault_plan=fault_plan,
         telemetry=telemetry,
         verbose=not args.quiet,
@@ -946,20 +885,16 @@ def main(argv=None) -> int:
     if args.resume and not args.store:
         parser.error("--resume requires --store PATH")
     if args.jobs < 0:
-        parser.error("--jobs must be >= 0 (0 = one per CPU)")
-    if args.worker_ttl < 0:
-        parser.error("--worker-ttl must be >= 0 (0 = never recycle)")
-    if args.max_worker_restarts < 0:
-        parser.error("--max-worker-restarts must be >= 0")
+        parser.error("--jobs must be >= 0 (0 = in-process)")
+    if args.timeout is not None and not args.jobs:
+        parser.error("--timeout bounds pool units; it requires --jobs N")
     if args.chaos_kill_every < 0:
         parser.error("--chaos-kill-every must be >= 0 (0 = off)")
+    if args.chaos_kill_every and not args.jobs:
+        parser.error("--chaos-kill-every injects pool faults; it requires "
+                     "--jobs N")
     if args.mc_budget < 1:
         parser.error("--mc-budget must be >= 1")
-    if args.chaos_kill_every and args.pool is False:
-        parser.error("--chaos-kill-every injects pool faults; remove --no-pool")
-    if args.pool is None:
-        # Warm pool is the parallel default; chaos only works against it.
-        args.pool = args.jobs != 1 or bool(args.chaos_kill_every)
 
     cache = _build_cache(args)
     try:
@@ -970,8 +905,13 @@ def main(argv=None) -> int:
         telemetry = _build_telemetry(args, flight=flight)
     except ValueError as error:
         parser.error(f"--trace-filter: {error}")
+    supervisor = fault_plan = None
+    if args.jobs:
+        supervisor, fault_plan = _build_pool(
+            args, telemetry=telemetry, flight=flight
+        )
     runner = _build_runner(
-        args, cache=cache, telemetry=telemetry, flight=flight
+        args, supervisor, cache=cache, telemetry=telemetry, flight=flight
     )
     runners = _exhibit_runners()
     started = time.time()
@@ -990,59 +930,52 @@ def main(argv=None) -> int:
         else:
             lint_section = _preflight_lint()
     plannable = [name for name in wanted if name in RUNNER_EXHIBITS]
-    pool_section = None
-    if (args.jobs != 1 or args.pool) and plannable:
-        from repro.experiments.parallel import prefetch_exhibits
+    exhibit_errors = {}
+    # One pool serves the prefetch and every unit the planner missed;
+    # it closes before the manifest so its stats are final.
+    try:
+        if supervisor is not None and plannable:
+            from repro.experiments.parallel import prefetch_exhibits
 
-        jobs = args.jobs or (os.cpu_count() or 1)
-        supervisor, fault_plan = _build_pool(
-            args, jobs, telemetry=telemetry, flight=flight
-        )
-        try:
             if telemetry is not None:
                 with telemetry.tracer.span("parallel-prefetch", cat="exp"), \
                         telemetry.profiler.phase("exp.prefetch"):
                     prefetch_exhibits(
-                        runner, runners, plannable, jobs=jobs, cache=cache,
-                        verbose=not args.quiet, pool=supervisor,
+                        runner, runners, plannable, jobs=args.jobs,
+                        cache=cache, verbose=not args.quiet,
                     )
             else:
                 prefetch_exhibits(
-                    runner, runners, plannable, jobs=jobs, cache=cache,
-                    verbose=not args.quiet, pool=supervisor,
+                    runner, runners, plannable, jobs=args.jobs,
+                    cache=cache, verbose=not args.quiet,
                 )
-        finally:
-            if supervisor is not None:
-                supervisor.close()
-                pool_section = supervisor.stats()
-                if fault_plan is not None:
-                    pool_section["chaos_injected"] = fault_plan.injected
-                # Workers forward their forensics units over log frames;
-                # fold them into the runner's campaign-level list so the
-                # manifest's forensics section sees every unit.
-                runner.forensics_units.extend(
-                    supervisor.all_forensics_units()
-                )
-    exhibit_errors = {}
-    for name in wanted:
-        try:
-            if telemetry is not None:
-                with telemetry.tracer.span(f"exhibit:{name}", cat="exp"), \
-                        telemetry.profiler.phase(f"exp.render.{name}"):
+        for name in wanted:
+            try:
+                if telemetry is not None:
+                    with telemetry.tracer.span(f"exhibit:{name}", cat="exp"), \
+                            telemetry.profiler.phase(f"exp.render.{name}"):
+                        text = runners[name](runner)
+                else:
                     text = runners[name](runner)
-            else:
-                text = runners[name](runner)
-            print(text)
-        except ReproError as err:
-            # One exhibit failing must not abort the campaign: report a
-            # single structured line and keep rendering the rest.
-            exhibit_errors[name] = err
-            print(
-                f"[exhibit-failed] {name}: {err.describe()}",
-                file=sys.stderr,
-                flush=True,
-            )
-        print()
+                print(text)
+            except ReproError as err:
+                # One exhibit failing must not abort the campaign: report
+                # a single structured line and keep rendering the rest.
+                exhibit_errors[name] = err
+                print(
+                    f"[exhibit-failed] {name}: {err.describe()}",
+                    file=sys.stderr,
+                    flush=True,
+                )
+            print()
+    finally:
+        if supervisor is not None:
+            supervisor.close()
+    pool_section = None
+    if supervisor is not None:
+        pool_section = supervisor.stats()
+        if fault_plan is not None:
+            pool_section["chaos_injected"] = fault_plan.injected
     if args.dump:
         runner.dump_json(args.dump)
         print(f"[raw records written to {args.dump}]", file=sys.stderr)

@@ -1,13 +1,13 @@
 """Parallel sharded campaigns and the content-addressed result cache.
 
-PR 1 made each simulation an isolated worker subprocess; this module
-exploits that: since every work unit already runs in its own process,
+Every work unit runs in an isolated pool worker
+(:class:`~repro.experiments.supervisor.PoolSupervisor`), so
 inter-simulation parallelism only needs the *parent* to drive several
 workers at once.  :class:`ParallelCampaignExecutor` shards a campaign's
-(app, detector, memory, races, seed) units across a pool of worker
-subprocesses fed work-stealing style from one shared queue — an idle
-shard steals the next unit the moment it finishes, so one slow unit
-(UTS) never serializes a shard's backlog behind it.
+(app, detector, memory, races, seed) units across the pool's workers,
+fed work-stealing style from one shared queue — an idle shard steals
+the next unit the moment it finishes, so one slow unit (UTS) never
+serializes a shard's backlog behind it.
 
 Two properties are load-bearing:
 
@@ -28,9 +28,9 @@ runs one at a time, so it first *plans* the campaign by dry-running each
 exhibit against a :class:`PlanningRunner` (which records the request
 stream and answers with synthetic records), then executes the collected
 units in parallel and injects the results into the real runner's cache.
-Planning is best-effort: a unit the planner misses is simply simulated
-serially by the exhibit itself, so parallelism is an optimization, never
-a correctness dependency.
+Planning is best-effort: a unit the planner misses is simply run by the
+exhibit itself, on the same pool, so parallelism is an optimization,
+never a correctness dependency.
 """
 
 from __future__ import annotations
@@ -45,12 +45,7 @@ from collections import deque
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigError, RunFailedError, StoreError
-from repro.experiments.campaign import (
-    CampaignExecutor,
-    CampaignRunner,
-    RunFailure,
-    RunSpec,
-)
+from repro.experiments.campaign import CampaignRunner, RunFailure, RunSpec
 from repro.experiments.runner import RunRecord, Runner
 from repro.experiments.store import (
     SCHEMA_VERSION,
@@ -263,13 +258,14 @@ class ParallelCampaignExecutor:
     """Shards work units across concurrent isolated workers.
 
     Each shard is a parent-side dispatcher thread that steals the next
-    unit from a shared queue and drives one worker subprocess at a time
-    through *executor* (any object with ``execute(spec) -> RunRecord``
-    raising :class:`RunFailedError`; normally PR 1's
-    :class:`~repro.experiments.campaign.CampaignExecutor`, which brings
-    subprocess isolation, watchdogs, timeout, and retry/backoff per
-    unit).  The GIL is irrelevant: the simulations burn CPU in separate
-    worker *processes* while the dispatcher threads sleep in ``wait()``.
+    unit from a shared queue and drives one worker at a time through
+    *executor* (any object with ``execute(spec) -> RunRecord`` raising
+    :class:`RunFailedError`; normally a
+    :class:`~repro.experiments.supervisor.PoolSupervisor`, whose
+    ``execute`` blocks on one unit and brings process isolation,
+    watchdogs, timeout, and retry/backoff per unit).  The GIL is
+    irrelevant: the simulations burn CPU in separate worker *processes*
+    while the dispatcher threads wait on their pipes.
 
     The optional *cache* is consulted before executing and filled after;
     the optional *store* is appended to by the parent (serialized by a
@@ -500,15 +496,12 @@ def prefetch_exhibits(
     jobs: int,
     cache: Optional[ResultCache] = None,
     verbose: bool = False,
-    pool=None,
 ) -> Optional[CampaignOutcome]:
     """Plan the campaign, execute it in parallel, warm *runner*'s cache.
 
-    With *pool* (a :class:`~repro.experiments.supervisor.PoolSupervisor`)
-    the units are served by persistent warm workers instead of a fresh
-    subprocess per unit; without it, the shards fall back to driving
-    *runner*'s own per-unit executor.  After this returns, the exhibits'
-    own ``runner.run`` calls are memory-cache hits (or immediate,
+    The units are served by *runner*'s executor (the campaign's worker
+    pool), *jobs* at a time.  After this returns, the exhibits' own
+    ``runner.run`` calls are memory-cache hits (or immediate,
     non-retried failures for units the prefetch exhausted retries on).
     Returns the merged outcome, or ``None`` if nothing needed running.
     """
@@ -528,9 +521,8 @@ def prefetch_exhibits(
     # lock and workers never see the store path at all, so no worker
     # fault — SIGKILL mid-unit included — can tear a JSONL line.
     store = runner._store
-    executor = pool if pool is not None else runner.executor
     parallel = ParallelCampaignExecutor(
-        executor,
+        runner.executor,
         jobs=jobs,
         cache=cache,
         store=store,

@@ -1,23 +1,22 @@
 """Persistent warm worker pool: fork once, serve many simulation units.
 
-PR 1's crash isolation ran every simulation in a fresh ``python -m
-repro.experiments.campaign`` subprocess — robust, but each unit paid
-interpreter start + engine re-import + result marshal, and
-``BENCH_campaign.json`` recorded the consequence: ``--jobs 4`` was
-*slower* than serial (0.88x).  This module keeps the isolation boundary
-(one worker process per concurrent unit, a crash costs one unit) while
-paying the spawn cost **once per worker** instead of once per unit:
+Crash isolation means one worker process per concurrent unit, so a
+crash costs one unit, not the campaign.  Spawning a fresh interpreter
+per unit pays interpreter start + engine re-import + result marshal
+every time; this module keeps the isolation boundary while paying the
+spawn cost **once per worker** instead of once per unit:
 
 * a **worker** (``python -m repro.experiments.pool``) boots, pre-imports
   the engine, announces ``ready``, then serves ``run`` requests over a
   length-prefixed JSON frame protocol on stdin/stdout until told to shut
   down (or until its TTL recycles it);
 * while a unit simulates, the worker streams **heartbeat frames** from
-  inside the event loop (via the PR 1 :class:`~repro.common.guard.
-  Watchdog` hook), so the parent can tell "still crunching" from "hung"
+  inside the event loop (via the :class:`~repro.common.guard.Watchdog`
+  hook), so the parent can tell "still crunching" from "hung"
   without killing anything;
 * the parent-side :class:`WorkerHandle` owns exactly one worker and maps
   every way the stream can go wrong onto the structured error taxonomy:
+  an overrun deadline → :class:`~repro.common.errors.RunTimeout`,
   silence → :class:`~repro.common.errors.WorkerHang`, EOF/death →
   :class:`~repro.common.errors.WorkerCrash`, truncated or corrupt frames
   → :class:`~repro.common.errors.ProtocolDesync`, a partial frame that
@@ -121,7 +120,8 @@ class FrameTimeout(ReproError):
     """Internal to the parent-side reader: no bytes arrived in time.
 
     Never escapes :class:`WorkerHandle` — it is translated into
-    :class:`WorkerHang` (total silence) with the liveness context only
+    :class:`WorkerHang` (total silence) or, when the unit's deadline cut
+    the read short, :class:`RunTimeout`, with the liveness context only
     the handle knows.
     """
 
@@ -288,17 +288,17 @@ class WorkerHandle:
         """Drive one unit through the worker; return its record.
 
         *deadline* bounds the unit's wall clock (the worker arms an
-        in-process watchdog at 80% of it, exactly like the PR 1
-        subprocess path, so simulator hangs die with a hang report
-        before the parent gives up).  *heartbeat_timeout* bounds
-        silence: if no frame (heartbeat or result) arrives within it,
-        the worker is declared hung.
+        in-process watchdog at 80% of it, so simulator hangs die with a
+        hang report before the parent gives up).  *heartbeat_timeout*
+        bounds silence: if no frame (heartbeat or result) arrives
+        within it, the worker is declared hung — unless the deadline
+        ran out first, which is a :class:`RunTimeout`.
 
-        Raises the taxonomy: :class:`WorkerHang`, :class:`WorkerCrash`,
-        :class:`ProtocolDesync`, :class:`SlowLorisWorker`, or the
-        re-hydrated simulation error the worker reported.  On any of
-        the first four the caller must ``kill()`` and recycle — the
-        stream is no longer trustworthy.
+        Raises the taxonomy: :class:`RunTimeout`, :class:`WorkerHang`,
+        :class:`WorkerCrash`, :class:`ProtocolDesync`,
+        :class:`SlowLorisWorker`, or the re-hydrated simulation error
+        the worker reported.  On any of the first five the caller must
+        ``kill()`` and recycle — the stream is no longer trustworthy.
         """
         if not self.alive:
             raise WorkerCrash(
@@ -331,6 +331,7 @@ class WorkerHandle:
         started = time.monotonic()
         while True:
             budget = heartbeat_timeout
+            deadline_bound = False
             if deadline is not None:
                 remaining = deadline - (time.monotonic() - started)
                 if remaining <= 0:
@@ -340,10 +341,13 @@ class WorkerHandle:
                         f"({self.heartbeats_seen} heartbeat(s) seen) and "
                         "was killed"
                     )
-                budget = min(budget, remaining)
+                if remaining < budget:
+                    budget, deadline_bound = remaining, True
             try:
                 frame = self._reader.read(budget)
             except FrameTimeout:
+                if deadline_bound:
+                    continue  # the deadline check above raises RunTimeout
                 raise WorkerHang(
                     f"worker {self.worker_id} went silent for "
                     f"{budget:g}s mid-unit ({spec.describe()}): no "

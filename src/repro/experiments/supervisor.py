@@ -2,9 +2,10 @@
 
 :mod:`repro.experiments.pool` supplies the mechanism (one warm worker,
 one pipe, one unit at a time); this module supplies the policy.  A
-:class:`PoolSupervisor` is a drop-in campaign executor (same
-``execute(spec) -> RunRecord`` contract as :class:`~repro.experiments.
-campaign.CampaignExecutor`) that owns a fleet of workers and enforces:
+:class:`PoolSupervisor` is the campaign's isolated executor (same
+``execute(spec) -> RunRecord`` contract as the in-process floor,
+:class:`~repro.experiments.campaign.InProcessExecutor`) that owns a
+fleet of workers and enforces:
 
 * **heartbeat liveness** — a busy worker must produce a frame (result
   or heartbeat) every ``heartbeat_timeout`` seconds or it is declared
@@ -12,11 +13,14 @@ campaign.CampaignExecutor`) that owns a fleet of workers and enforces:
 * **crash isolation with recycling** — a worker is killed and replaced
   only *after* a fault (SIGKILL, OOM, unhandled exception, protocol
   desync, hang); healthy workers are reused until their TTL;
+* **unit timeouts** — a unit that overruns ``unit_timeout`` has its
+  worker killed and replaced like a TTL recycle (no budget cost, no
+  poison count) and is retried, then failed as ``FAILED(run-timeout)``;
 * **bounded restarts** — fault respawns draw from a
   ``max_worker_restarts`` budget, so a pathological environment cannot
   spawn-loop forever;
 * **bounded retry with backoff** — a faulted unit is retried on a fresh
-  worker with exponential backoff, classified by the PR 1 error
+  worker with exponential backoff, classified by the error
   taxonomy (deterministic ``config``/``kernel`` errors are not retried);
 * **poison-unit quarantine** — a unit that kills ``poison_threshold``
   workers is failed with ``FAILED(poison-unit)`` instead of eating the
@@ -36,6 +40,8 @@ The degradation ladder, from cheapest to most conservative::
         │                        │
         │                        ├─ unit killed K workers ─▶ FAILED(poison-unit)
         │                        └─ restart budget gone ───▶ degrade pool
+        ├─ unit timeout ─▶ kill + respawn, retry unit (no budget cost)
+        │                        └─ retries gone ─▶ FAILED(run-timeout)
         └─ TTL reached ─▶ graceful recycle (no budget cost)
 
     degraded pool ─▶ every remaining unit runs serially in-process
@@ -67,10 +73,10 @@ from repro.common.errors import (
     SlowLorisWorker,
     WorkerCrash,
     WorkerHang,
-    error_code,
 )
 from repro.experiments.campaign import (
     _NO_RETRY_CODES,
+    _unit_failure_code,
     InProcessExecutor,
     RunFailure,
     RunSpec,
@@ -84,9 +90,7 @@ from repro.experiments.runner import RunRecord
 #: faults that condemn the worker (its stream or process is gone/
 #: untrustworthy); anything else in the taxonomy means the worker is
 #: healthy and only the unit failed
-WORKER_FATAL = (
-    WorkerHang, WorkerCrash, ProtocolDesync, SlowLorisWorker, RunTimeout,
-)
+WORKER_FATAL = (WorkerHang, WorkerCrash, ProtocolDesync, SlowLorisWorker)
 
 
 @dataclasses.dataclass
@@ -182,6 +186,7 @@ class PoolSupervisor:
         self.spawned = 0
         self.restarts = 0  # fault respawns consumed from the budget
         self.ttl_recycles = 0
+        self.timeout_recycles = 0
         self.heartbeats = 0
         self.units_ok = 0
         self.units_retried = 0
@@ -253,6 +258,7 @@ class PoolSupervisor:
                 self._count("pool.units.degraded")
                 return self._fallback.execute(spec)
             hb_before = worker.heartbeats_seen
+            error = None
             try:
                 record = worker.run_unit(
                     spec,
@@ -267,9 +273,26 @@ class PoolSupervisor:
                     forensics_dir=self.forensics_dir,
                     campaign=self.campaign_id,
                 )
-            except WORKER_FATAL as err:
-                self._add_heartbeats(worker.heartbeats_seen - hb_before)
-                last_category, last_message = error_code(err), str(err)
+            except ReproError as err:
+                error = err
+            self._add_heartbeats(worker.heartbeats_seen - hb_before)
+            if error is None:
+                self._checkin(worker)
+                with self._state:
+                    self.units_ok += 1
+                self._count("pool.units.ok")
+                return record
+            last_category = _unit_failure_code(error)
+            last_message = str(error)
+            if isinstance(error, RunTimeout):
+                # The unit overran, not the worker: replace it for free.
+                self._recycle_after_timeout(worker)
+                self._note(
+                    f"worker {worker.worker_id} replaced: "
+                    f"{spec.describe()} overran its timeout "
+                    f"(attempt {attempt}/{attempts})"
+                )
+            elif isinstance(error, WORKER_FATAL):
                 self._recycle_after_fault(worker, last_category)
                 self._note(
                     f"worker {worker.worker_id} lost on "
@@ -281,36 +304,19 @@ class PoolSupervisor:
                     raise self._poison_failure(
                         spec, attempt, poison_category
                     )
-                if attempt < attempts:
-                    self._count("pool.units.retried")
-                    with self._state:
-                        self.units_retried += 1
-                    time.sleep(
-                        self.config.backoff_seconds * (2 ** (attempt - 1))
-                    )
-                continue
-            except ReproError as err:
+            else:
                 # The worker reported a structured failure and is still
                 # healthy — the unit failed, not the worker.
-                self._add_heartbeats(worker.heartbeats_seen - hb_before)
                 self._checkin(worker)
-                last_category, last_message = err.code, str(err)
                 if last_category in _NO_RETRY_CODES:
                     break
-                if attempt < attempts:
-                    self._count("pool.units.retried")
-                    with self._state:
-                        self.units_retried += 1
-                    time.sleep(
-                        self.config.backoff_seconds * (2 ** (attempt - 1))
-                    )
-                continue
-            self._add_heartbeats(worker.heartbeats_seen - hb_before)
-            self._checkin(worker)
-            with self._state:
-                self.units_ok += 1
-            self._count("pool.units.ok")
-            return record
+            if attempt < attempts:
+                self._count("pool.units.retried")
+                with self._state:
+                    self.units_retried += 1
+                time.sleep(
+                    self.config.backoff_seconds * (2 ** (attempt - 1))
+                )
         failure = RunFailure(spec, last_category, last_message, attempt)
         raise RunFailedError(
             f"{spec.describe()} failed after {attempt} attempt(s): "
@@ -416,6 +422,23 @@ class PoolSupervisor:
             )
         self._count("pool.workers.lost", code=category)
         self._consume_restart(category)
+        self._idle.put(None)
+
+    def _recycle_after_timeout(self, worker: WorkerHandle) -> None:
+        """Kill a worker whose unit overran its timeout; respawn for free.
+
+        Like a TTL recycle, a slow unit says nothing about the worker or
+        the environment: no restart-budget charge, no poison count, and
+        no ``lost_workers`` entry.  The unit is retried up to
+        ``max_retries`` and then fails as ``run-timeout``.
+        """
+        self._update_worker_stats(worker)
+        worker.kill()
+        self._mark_worker_dead(worker.worker_id)
+        with self._state:
+            self._live.pop(worker.worker_id, None)
+            self.timeout_recycles += 1
+        self._count("pool.workers.recycled_timeout")
         self._idle.put(None)
 
     def _consume_restart(self, reason: str) -> None:
@@ -554,6 +577,7 @@ class PoolSupervisor:
                 "spawned": self.spawned,
                 "restarts": self.restarts,
                 "ttl_recycles": self.ttl_recycles,
+                "timeout_recycles": self.timeout_recycles,
                 "heartbeats": self.heartbeats,
                 "units_ok": self.units_ok,
                 "units_retried": self.units_retried,

@@ -50,6 +50,18 @@ class TestResilienceFlags:
             main(["table2", "--quiet", "--resume"])
         assert "--resume requires --store" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--timeout", "5"], "--timeout bounds pool units"),
+        (["--chaos-kill-every", "2"], "--chaos-kill-every injects pool"),
+        (["--jobs", "-1"], "--jobs must be >= 0"),
+    ])
+    def test_pool_flags_require_jobs(self, argv, message, capsys):
+        """The in-process default (--jobs 0) has no pool to bound."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["table2", "--quiet"] + argv)
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_manifest_written_on_success(self, tmp_path, capsys):
         path = tmp_path / "manifest.json"
         assert main(["table2", "--quiet", "--manifest", str(path)]) == 0

@@ -2,9 +2,9 @@
 
 The flight recorder and forensic bundling ride the whole stack: the
 in-process :class:`Runner` (fresh recorder per unit, bundles on disk,
-manifest section), the isolated-worker executor's stdout side-channel,
-the warm worker pool's structured ``log`` frames with campaign
-correlation IDs, and the CLI surface (flags plus the live dashboard).
+manifest section), the warm worker pool's structured ``log`` frames
+with campaign correlation IDs, and the CLI surface (flags plus the live
+dashboard).
 Each layer gets its own test here, cheapest first.
 """
 
@@ -13,10 +13,9 @@ import os
 
 import pytest
 
-from repro.experiments.campaign import CampaignExecutor, RunSpec
+from repro.experiments.campaign import RunSpec
 from repro.experiments.parallel import ResultCache
 from repro.experiments.runner import Runner
-from repro.experiments.store import record_to_dict
 from repro.experiments.supervisor import PoolConfig, PoolSupervisor
 from repro.scor.apps.registry import app_by_name
 from repro.telemetry import FlightConfig
@@ -110,38 +109,6 @@ def test_disk_cache_is_bypassed_under_flight(tmp_path):
     capturing.run(app_by_name("RED"), detector="none")
     assert capturing.fresh_runs == 1
     assert capturing.cached_runs == 0
-
-
-# ----------------------------------------------------------------------
-# Isolated-worker executor: the stdout side-channel
-# ----------------------------------------------------------------------
-class TestParseRecordSideChannel:
-    def _stdout(self, record_line, extra_lines):
-        return "\n".join(extra_lines + [record_line]) + "\n"
-
-    def _record_line(self):
-        record = Runner(verbose=False).run(app_by_name("RED"), "none")
-        return json.dumps(record_to_dict(record))
-
-    def test_forensics_units_are_lifted(self):
-        executor = CampaignExecutor()
-        unit = {"unit": "RED.none.default", "bundles": 0}
-        stdout = self._stdout(self._record_line(), [
-            "stray print from an app",
-            json.dumps({"forensics_unit": unit}),
-            "{not json",
-        ])
-        record = executor._parse_record(RunSpec("RED", "none"), stdout)
-        assert record.app == "RED"
-        assert executor.forensics_units == [unit]
-
-    def test_plain_stdout_collects_nothing(self):
-        executor = CampaignExecutor()
-        record = executor._parse_record(
-            RunSpec("RED", "none"), self._record_line() + "\n"
-        )
-        assert record.app == "RED"
-        assert executor.forensics_units == []
 
 
 # ----------------------------------------------------------------------
@@ -240,6 +207,34 @@ class TestCliSurface:
         assert section["rule_agreement"] == section["bundles"]
         unit_dir = section["units"][0]["dir"]
         assert os.path.exists(os.path.join(unit_dir, "index.json"))
+
+    def test_pool_campaign_counts_each_forensics_unit_once(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """--jobs 1 captures worker-side; the manifest sees each unit once.
+
+        table2 is not a planned exhibit, so its unit is a planner miss
+        that still runs on the campaign's pool.
+        """
+        import repro.experiments.cli as cli_module
+        from repro.experiments.cli import main
+
+        def racy_exhibit(runner):
+            runner.run(app_by_name(RACY.app), races=RACY.races)
+            return "synthetic exhibit"
+
+        monkeypatch.setattr(cli_module, "_table2", racy_exhibit)
+        manifest_path = tmp_path / "manifest.json"
+        code = main([
+            "table2", "--quiet", "--jobs", "1",
+            "--forensics-out", str(tmp_path / "bundles"),
+            "--manifest", str(manifest_path),
+        ])
+        assert code == 0
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["forensics"]["units_captured"] == 1
+        assert manifest["pool"]["units_ok"] == 1
+        assert manifest["pool"]["forensics_units"] == 1
 
     def test_explain_subcommand(self, capsys):
         from repro.experiments.cli import main

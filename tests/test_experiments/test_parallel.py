@@ -7,8 +7,9 @@ The load-bearing properties:
   and completion-order scrambles through a fake executor);
 * **cache correctness** — hits return semantically identical records,
   corruption demotes to a miss, schema/config changes change the key;
-* **isolation reuse** — the real end-to-end path (worker subprocesses)
-  produces the same records at ``jobs=1`` and ``jobs=2``.
+* **isolation reuse** — the real end-to-end path (pool worker
+  processes) produces the same records on a 1-worker and a 2-worker
+  pool.
 """
 
 import json
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import RunFailedError
-from repro.experiments.campaign import CampaignExecutor, RunFailure, RunSpec
+from repro.experiments.campaign import RunFailure, RunSpec
 from repro.experiments.parallel import (
     CampaignOutcome,
     ParallelCampaignExecutor,
@@ -35,6 +36,7 @@ from repro.experiments.store import (
     semantic_record_dict,
     unit_digest,
 )
+from repro.experiments.supervisor import PoolConfig, PoolSupervisor
 from repro.scor.apps.reduction import ReductionApp
 
 
@@ -59,7 +61,7 @@ def synthetic_record(spec: RunSpec, wall: float = 0.0) -> RunRecord:
 
 
 class FakeExecutor:
-    """Scripted stand-in for CampaignExecutor: no subprocesses.
+    """Scripted stand-in for the worker pool: no subprocesses.
 
     Sleeps a per-spec delay (scrambling completion order across shards)
     and fails specs whose app is listed in *failing*.
@@ -301,7 +303,7 @@ class TestPlanning:
 
 
 class TestEndToEnd:
-    """Real worker subprocesses, small units (RED is the cheapest app)."""
+    """Real pool workers, small units (RED is the cheapest app)."""
 
     def test_jobs_1_and_2_produce_identical_records(self, tmp_path):
         specs = [
@@ -309,8 +311,14 @@ class TestEndToEnd:
             RunSpec("RED", "scord"),
             RunSpec("RED", "scord", races=("block_fence",)),
         ]
-        executor = CampaignExecutor(timeout=300)
-        serial = ParallelCampaignExecutor(executor, jobs=1).run_units(specs)
-        parallel = ParallelCampaignExecutor(executor, jobs=2).run_units(specs)
+
+        def run_on_pool(jobs):
+            config = PoolConfig(workers=jobs, unit_timeout=300)
+            with PoolSupervisor(config) as sup:
+                return ParallelCampaignExecutor(sup, jobs=jobs).run_units(
+                    specs
+                )
+
+        serial, parallel = run_on_pool(1), run_on_pool(2)
         assert merged_semantics(serial) == merged_semantics(parallel)
         assert all(u.ok for u in parallel.outcomes)

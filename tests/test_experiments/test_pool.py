@@ -17,6 +17,7 @@ from repro.common.errors import (
     PoolExhausted,
     ProtocolDesync,
     RunFailedError,
+    RunTimeout,
     SlowLorisWorker,
     WorkerCrash,
     WorkerHang,
@@ -195,20 +196,32 @@ class TestWorkerHandle:
         finally:
             handle.shutdown()
 
-    @pytest.mark.parametrize("action,expected", [
-        ("pool-kill", WorkerCrash),
-        ("pool-hang", WorkerHang),
-        ("pool-frame", ProtocolDesync),
-        ("pool-loris", SlowLorisWorker),
-    ])
-    def test_fault_actions_map_to_distinct_codes(self, action, expected):
+    @pytest.mark.parametrize(
+        "action,deadline,heartbeat_timeout,expected",
+        [
+            ("pool-kill", 30, 1.0, WorkerCrash),
+            ("pool-hang", 30, 1.0, WorkerHang),
+            ("pool-frame", 30, 1.0, ProtocolDesync),
+            ("pool-loris", 30, 1.0, SlowLorisWorker),
+            # The deadline, not the silence window, bounded the read.
+            ("pool-hang", 1, 10, RunTimeout),
+        ],
+        ids=[
+            "pool-kill-WorkerCrash", "pool-hang-WorkerHang",
+            "pool-frame-ProtocolDesync", "pool-loris-SlowLorisWorker",
+            "pool-hang-deadline-RunTimeout",
+        ],
+    )
+    def test_fault_actions_map_to_distinct_codes(
+        self, action, deadline, heartbeat_timeout, expected
+    ):
         handle = WorkerHandle(0)
         handle.spawn()
         try:
             with pytest.raises(expected):
                 handle.run_unit(
-                    FAST, deadline=30, fault=action,
-                    heartbeat_timeout=1.0,
+                    FAST, deadline=deadline, fault=action,
+                    heartbeat_timeout=heartbeat_timeout,
                 )
         finally:
             handle.kill()

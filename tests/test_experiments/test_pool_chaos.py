@@ -84,8 +84,7 @@ class TestChaosRecovery:
             ["--jobs", "2", "--chaos-kill-every", "2", "--timeout", "60",
              "--quiet"]
         )
-        args.pool = True  # main() derives this from --jobs; set directly
-        supervisor, chaos = cli._build_pool(args, jobs=2)
+        supervisor, chaos = cli._build_pool(args)
         assert supervisor is not None and chaos is not None
         assert supervisor.config.workers == 2
         units = UNITS[:4]

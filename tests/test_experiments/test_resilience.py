@@ -4,6 +4,8 @@ These tests deliberately inject hangs, crashes, and corrupted store
 entries (repro.experiments.faults) to prove the recovery paths behave as
 specified — resume skips finished runs, a hang is timed out and retried,
 exhausted retries degrade to FAILED cells, and corruption is quarantined.
+The isolated paths run on the supervised worker pool, the campaign's
+one isolated executor.
 """
 
 import json
@@ -17,16 +19,11 @@ import pytest
 
 from repro.common.errors import RunFailedError
 from repro.experiments import fig8
-from repro.experiments.campaign import (
-    EXIT_BAD_SPEC,
-    CampaignExecutor,
-    CampaignRunner,
-    RunSpec,
-    _worker_env,
-)
+from repro.experiments.campaign import CampaignRunner, RunSpec, _worker_env
 from repro.experiments.faults import FaultPlan, FaultRule, corrupt_store
 from repro.experiments.runner import Runner
 from repro.experiments.store import RunStore, record_key
+from repro.experiments.supervisor import PoolConfig, PoolSupervisor
 from repro.scor.apps.matmul import MatMulApp
 from repro.scor.apps.reduction import ReductionApp
 
@@ -143,32 +140,51 @@ class TestKilledCampaign:
 
 
 # ----------------------------------------------------------------------
-# Fault injection through the subprocess executor
+# Fault injection through the worker pool
 # ----------------------------------------------------------------------
+def pool_config(timeout, max_retries=1, **overrides):
+    """One worker with fast backoff; *overrides* tune the policy."""
+    return PoolConfig(
+        workers=1, unit_timeout=timeout, max_retries=max_retries,
+        backoff_seconds=0.01, **overrides,
+    )
+
+
+def assert_timeouts_spared_the_pool(stats):
+    """Timeouts recycle workers for free: no budget, no poison, no loss."""
+    assert stats["restarts"] == 0
+    assert stats["lost_workers"] == {}
+    assert stats["poisoned_units"] == {}
+    assert not stats["degraded"]
+    assert stats["units_degraded"] == 0
+
+
 class TestFaultInjection:
     def test_injected_hang_is_timed_out_and_retried(self):
         """Hang on attempt 1, behave on attempt 2: the run succeeds."""
-        executor = CampaignExecutor(
-            timeout=5.0,
-            max_retries=1,
-            backoff_seconds=0.01,
+        with PoolSupervisor(
+            pool_config(timeout=5.0),
             fault_plan=FaultPlan.once("hang", app="RED"),
-        )
-        started = time.time()
-        record = executor.execute(RunSpec("RED"))
-        elapsed = time.time() - started
+        ) as sup:
+            started = time.time()
+            record = sup.execute(RunSpec("RED"))
+            elapsed = time.time() - started
+            stats = sup.stats()
         assert record.app == "RED"
         assert elapsed >= 5.0  # the first attempt really hit the timeout
+        assert stats["timeout_recycles"] == 1
+        assert stats["units_retried"] == 1
+        assert_timeouts_spared_the_pool(stats)
 
     def test_exhausted_retries_raise_structured_failure(self):
-        executor = CampaignExecutor(
-            timeout=10.0,
-            max_retries=1,
-            backoff_seconds=0.01,
+        # poison_threshold above the attempt count: the crash category
+        # itself, not the quarantine, is what the failure reports.
+        with PoolSupervisor(
+            pool_config(timeout=10.0, poison_threshold=3),
             fault_plan=FaultPlan.always("crash"),
-        )
-        with pytest.raises(RunFailedError) as excinfo:
-            executor.execute(RunSpec("RED"))
+        ) as sup:
+            with pytest.raises(RunFailedError) as excinfo:
+                sup.execute(RunSpec("RED"))
         failure = excinfo.value.failure
         assert failure.category == "worker-crash"
         assert failure.attempts == 2
@@ -176,12 +192,12 @@ class TestFaultInjection:
         assert excinfo.value.code == "worker-crash"
 
     def test_injected_simulation_error_is_classified(self):
-        executor = CampaignExecutor(
-            timeout=10.0, max_retries=0,
+        with PoolSupervisor(
+            pool_config(timeout=10.0, max_retries=0),
             fault_plan=FaultPlan.always("error"),
-        )
-        with pytest.raises(RunFailedError) as excinfo:
-            executor.execute(RunSpec("RED"))
+        ) as sup:
+            with pytest.raises(RunFailedError) as excinfo:
+                sup.execute(RunSpec("RED"))
         assert excinfo.value.failure.category == "simulation"
         assert "injected fault" in excinfo.value.failure.message
 
@@ -194,17 +210,33 @@ class TestFaultInjection:
         assert plan.action_for("RED", "base", "default", 1) is None
         assert plan.action_for("MM", "scord", "default", 1) is None
 
-    def test_worker_rejects_bad_spec(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.experiments.campaign"],
-            input="{not json",
-            capture_output=True,
-            text=True,
-            env=_worker_env(),
-            timeout=60,
-        )
-        assert proc.returncode == EXIT_BAD_SPEC
-        assert "[worker-error] config" in proc.stderr
+    def test_every_attempt_timing_out_fails_as_run_timeout(self):
+        """A unit over its timeout on every attempt is run-timeout, not
+        poison-unit, and never costs the restart budget."""
+        with PoolSupervisor(
+            pool_config(timeout=2.0, max_worker_restarts=0),
+            fault_plan=FaultPlan.always("hang", app="RED"),
+        ) as sup:
+            with pytest.raises(RunFailedError) as excinfo:
+                sup.execute(RunSpec("RED"))
+            stats = sup.stats()
+        assert excinfo.value.failure.category == "run-timeout"
+        assert excinfo.value.failure.attempts == 2
+        assert stats["timeout_recycles"] == 2
+        assert_timeouts_spared_the_pool(stats)
+
+    def test_watchdog_expiry_in_the_worker_is_a_run_timeout(self):
+        """The worker's watchdog enforces the same unit timeout.
+
+        It fires at 80% of the timeout (1.6 s here), normally before the
+        parent's deadline; whichever wins, the category is the same.
+        """
+        with PoolSupervisor(pool_config(timeout=2.0, max_retries=0)) as sup:
+            with pytest.raises(RunFailedError) as excinfo:
+                sup.execute(RunSpec("UTS", "scord"))  # a ~3 s unit
+            stats = sup.stats()
+        assert excinfo.value.failure.category == "run-timeout"
+        assert_timeouts_spared_the_pool(stats)
 
 
 # ----------------------------------------------------------------------
@@ -216,12 +248,13 @@ class TestDegradation:
     ):
         """RED hangs every attempt; MM's cells still render."""
         monkeypatch.setattr(fig8, "ALL_APPS", [MatMulApp, ReductionApp])
-        executor = CampaignExecutor(
-            timeout=2.0, max_retries=0, backoff_seconds=0.01,
+        with PoolSupervisor(
+            pool_config(timeout=2.0, max_retries=0),
             fault_plan=FaultPlan.always("hang", app="RED"),
-        )
-        runner = CampaignRunner(executor, verbose=False)
-        result = fig8.run_fig8(runner)
+        ) as sup:
+            runner = CampaignRunner(sup, verbose=False)
+            result = fig8.run_fig8(runner)
+            stats = sup.stats()
         rendered = result.render()
         assert "FAILED(run-timeout)" in rendered
         # The healthy app's row and the average still render numerically.
@@ -233,13 +266,14 @@ class TestDegradation:
         # The failure is recorded for the CLI's manifest.
         assert [f.spec.app for f in runner.failures] == ["RED"]
         assert runner.failures[0].category == "run-timeout"
+        assert_timeouts_spared_the_pool(stats)
 
     def test_campaign_runner_memoizes_and_persists_once(self, tmp_path):
         store = RunStore(tmp_path / "store.jsonl")
-        executor = CampaignExecutor(timeout=30.0)
-        runner = CampaignRunner(executor, verbose=False, store=store)
-        first = runner.run(ReductionApp, detector="none")
-        second = runner.run(ReductionApp, detector="none")
+        with PoolSupervisor(pool_config(timeout=30.0)) as sup:
+            runner = CampaignRunner(sup, verbose=False, store=store)
+            first = runner.run(ReductionApp, detector="none")
+            second = runner.run(ReductionApp, detector="none")
         assert first is second
         assert runner.fresh_runs == 1
         assert record_key(first) in store.load()
