@@ -40,7 +40,7 @@ import dataclasses
 import sys
 import time
 
-from repro.common.errors import ReproError, error_code
+from repro.common.errors import ConfigError, ReproError, error_code
 from repro.experiments.runner import Runner
 
 EXHIBITS = ("table1", "table2", "table6", "table7", "table8",
@@ -642,71 +642,6 @@ def report_main(argv) -> int:
     return 0
 
 
-def _lint_targets(names):
-    """Resolve CLI target names into (label, thunk) lint jobs."""
-    from repro.scolint import lint_app, lint_litmus, lint_micro
-    from repro.litmus.catalog import ALL_LITMUS_TESTS, litmus_by_name
-    from repro.scor.apps.registry import ALL_APPS, app_by_name
-    from repro.scor.micro.registry import ALL_MICROS, micro_by_name
-
-    def micro_jobs():
-        return [(f"micro:{m.name}", lambda m=m: lint_micro(m))
-                for m in ALL_MICROS]
-
-    def app_jobs():
-        jobs = []
-        for app_cls in ALL_APPS:
-            jobs.append((f"app:{app_cls.name}",
-                         lambda c=app_cls: lint_app(c)))
-            jobs.extend(
-                (f"app:{app_cls.name}+{flag.name}",
-                 lambda c=app_cls, f=flag.name: lint_app(c, races=(f,)))
-                for flag in app_cls.RACE_FLAGS
-            )
-        return jobs
-
-    def litmus_jobs():
-        return [(f"litmus:{t.name}", lambda t=t: lint_litmus(t))
-                for t in ALL_LITMUS_TESTS]
-
-    jobs = []
-    for name in names:
-        if name == "all":
-            jobs += micro_jobs() + app_jobs() + litmus_jobs()
-        elif name == "suite":
-            jobs += micro_jobs() + app_jobs()
-        elif name == "micros":
-            jobs += micro_jobs()
-        elif name == "apps":
-            jobs += app_jobs()
-        elif name == "litmus":
-            jobs += litmus_jobs()
-        else:
-            kind, _, rest = name.partition(":")
-            if kind == "micro":
-                micro = micro_by_name(rest)
-                jobs.append((f"micro:{micro.name}",
-                             lambda m=micro: lint_micro(m)))
-            elif kind == "app":
-                app_name, _, flag = rest.partition("+")
-                app_cls = app_by_name(app_name)
-                races = (flag,) if flag else ()
-                label = f"app:{app_cls.name}" + (f"+{flag}" if flag else "")
-                jobs.append((label,
-                             lambda c=app_cls, r=races: lint_app(c, races=r)))
-            elif kind == "litmus":
-                test = litmus_by_name(rest)
-                jobs.append((f"litmus:{test.name}",
-                             lambda t=test: lint_litmus(t)))
-            else:
-                raise KeyError(
-                    f"unknown lint target {name!r}: use all, suite, micros, "
-                    f"apps, litmus, micro:<name>, app:<NAME>[+flag], or "
-                    f"litmus:<name>"
-                )
-    return jobs
-
-
 def lint_main(argv) -> int:
     """``scord-experiments lint``: static scope analysis, no simulation."""
     parser = argparse.ArgumentParser(
@@ -720,7 +655,8 @@ def lint_main(argv) -> int:
         default=["suite"],
         help="'suite' (default: 32 micros + 7 apps, race flags on and "
         "off), 'all' (suite + litmus), 'micros', 'apps', 'litmus', or "
-        "individual micro:<name> / app:<NAME>[+flag] / litmus:<name>",
+        "individual micro:<name> / app:<NAME>[+flag...] / litmus:<name> "
+        "(see docs/scor_suite.md)",
     )
     parser.add_argument(
         "--json", action="store_true",
@@ -778,18 +714,21 @@ def lint_main(argv) -> int:
             print(f"[lint-error] {target}: {error}", file=sys.stderr)
         return 1 if errors else 0
 
+    from repro.scolint.suite import lint_target
+    from repro.targets import expand_targets
+
     try:
-        jobs = _lint_targets(args.targets)
-    except KeyError as err:
-        parser.error(str(err.args[0]))
+        targets = expand_targets(args.targets)
+    except ConfigError as err:
+        parser.error(str(err))
 
     results, errors = [], []
-    for label, thunk in jobs:
+    for target in targets:
         try:
-            results.append(thunk())
+            results.append(lint_target(target))
         except LintError as err:
-            errors.append((label, err))
-            print(f"[lint-error] {label}: {err.describe()}",
+            errors.append((target.label, err))
+            print(f"[lint-error] {target.label}: {err.describe()}",
                   file=sys.stderr, flush=True)
     output = (render_json(results) if args.json
               else render_text(results, verbose=args.verbose))

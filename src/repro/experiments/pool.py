@@ -9,7 +9,8 @@ spawn cost **once per worker** instead of once per unit:
 * a **worker** (``python -m repro.experiments.pool``) boots, pre-imports
   the engine, announces ``ready``, then serves ``run`` requests over a
   length-prefixed JSON frame protocol on stdin/stdout until told to shut
-  down (or until its TTL recycles it);
+  down (or until the supervisor recycles it after a fault or a unit
+  timeout);
 * while a unit simulates, the worker streams **heartbeat frames** from
   inside the event loop (via the :class:`~repro.common.guard.Watchdog`
   hook), so the parent can tell "still crunching" from "hung"
@@ -216,7 +217,7 @@ class WorkerHandle:
         self.proc: Optional[subprocess.Popen] = None
         self._reader: Optional[_FrameReader] = None
         self._next_id = 0
-        #: units completed by this worker (drives TTL recycling)
+        #: units completed by this worker (per-worker stats)
         self.units_served = 0
         #: heartbeat frames observed by this handle (telemetry)
         self.heartbeats_seen = 0

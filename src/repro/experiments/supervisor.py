@@ -12,10 +12,10 @@ fleet of workers and enforces:
   hung and killed;
 * **crash isolation with recycling** — a worker is killed and replaced
   only *after* a fault (SIGKILL, OOM, unhandled exception, protocol
-  desync, hang); healthy workers are reused until their TTL;
+  desync, hang); healthy workers are reused for the pool's lifetime;
 * **unit timeouts** — a unit that overruns ``unit_timeout`` has its
-  worker killed and replaced like a TTL recycle (no budget cost, no
-  poison count) and is retried, then failed as ``FAILED(run-timeout)``;
+  worker killed and replaced for free (no budget cost, no poison
+  count) and is retried, then failed as ``FAILED(run-timeout)``;
 * **bounded restarts** — fault respawns draw from a
   ``max_worker_restarts`` budget, so a pathological environment cannot
   spawn-loop forever;
@@ -40,9 +40,8 @@ The degradation ladder, from cheapest to most conservative::
         │                        │
         │                        ├─ unit killed K workers ─▶ FAILED(poison-unit)
         │                        └─ restart budget gone ───▶ degrade pool
-        ├─ unit timeout ─▶ kill + respawn, retry unit (no budget cost)
-        │                        └─ retries gone ─▶ FAILED(run-timeout)
-        └─ TTL reached ─▶ graceful recycle (no budget cost)
+        └─ unit timeout ─▶ kill + respawn, retry unit (no budget cost)
+                                 └─ retries gone ─▶ FAILED(run-timeout)
 
     degraded pool ─▶ every remaining unit runs serially in-process
                      (watchdog-guarded); campaign completes.
@@ -99,8 +98,6 @@ class PoolConfig:
 
     #: worker processes kept warm (the inflight window)
     workers: int = 2
-    #: units one worker serves before a graceful recycle (0 = unlimited)
-    worker_ttl: int = 0
     #: fault respawns allowed pool-wide before degrading to in-process
     max_worker_restarts: int = 8
     #: per-unit wall-clock bound (None = unbounded)
@@ -185,7 +182,6 @@ class PoolSupervisor:
         # -- counters (all guarded by _state) --------------------------
         self.spawned = 0
         self.restarts = 0  # fault respawns consumed from the budget
-        self.ttl_recycles = 0
         self.timeout_recycles = 0
         self.heartbeats = 0
         self.units_ok = 0
@@ -390,22 +386,8 @@ class PoolSupervisor:
         return worker
 
     def _checkin(self, worker: WorkerHandle) -> None:
-        """Return a healthy worker to the idle queue (or TTL-recycle)."""
+        """Return a healthy worker to the idle queue."""
         self._update_worker_stats(worker)
-        ttl = self.config.worker_ttl
-        if ttl and worker.units_served >= ttl:
-            with self._state:
-                self.ttl_recycles += 1
-                self._live.pop(worker.worker_id, None)
-            self._count("pool.workers.recycled_ttl")
-            worker.shutdown()
-            self._mark_worker_dead(worker.worker_id)
-            self._note(
-                f"worker {worker.worker_id} recycled after "
-                f"{worker.units_served} unit(s) (TTL {ttl})"
-            )
-            self._idle.put(None)  # a fresh slot, spawned on demand
-            return
         self._idle.put(worker)
 
     def _recycle_after_fault(
@@ -427,9 +409,9 @@ class PoolSupervisor:
     def _recycle_after_timeout(self, worker: WorkerHandle) -> None:
         """Kill a worker whose unit overran its timeout; respawn for free.
 
-        Like a TTL recycle, a slow unit says nothing about the worker or
-        the environment: no restart-budget charge, no poison count, and
-        no ``lost_workers`` entry.  The unit is retried up to
+        A slow unit says nothing about the worker or the environment:
+        no restart-budget charge, no poison count, and no
+        ``lost_workers`` entry.  The unit is retried up to
         ``max_retries`` and then fails as ``run-timeout``.
         """
         self._update_worker_stats(worker)
@@ -572,11 +554,9 @@ class PoolSupervisor:
             return {
                 "campaign": self.campaign_id,
                 "workers": self.config.workers,
-                "worker_ttl": self.config.worker_ttl,
                 "max_worker_restarts": self.config.max_worker_restarts,
                 "spawned": self.spawned,
                 "restarts": self.restarts,
-                "ttl_recycles": self.ttl_recycles,
                 "timeout_recycles": self.timeout_recycles,
                 "heartbeats": self.heartbeats,
                 "units_ok": self.units_ok,

@@ -1,11 +1,12 @@
 """``scord-experiments explain``: forensic explanations on demand.
 
-Targets come in three shapes:
+Targets come in two shapes:
 
-* ``micro:<name>`` — re-run the micro-benchmark under ScoRD with a
-  full-capture flight recorder and explain every race it detects;
-* ``app:NAME[+flag]`` — same for a Scor application (optionally with
-  one race-injection flag enabled);
+* a suite target — ``micro:<name>``, ``app:<NAME>[+flag...]`` or
+  ``litmus:<name>``, the grammar of :mod:`repro.targets` (see
+  docs/scor_suite.md) that ``lint`` and ``mc`` accept too — re-run
+  under ScoRD with a full-capture flight recorder, explaining every
+  race it detects;
 * a path — a ``forensics-report/v1`` bundle JSON (or an ``index.json``
   / bundle directory written by ``--forensics-out``), rendered without
   re-simulating anything.  An ``mc-report/v1`` file (or a list of
@@ -131,43 +132,6 @@ def _bundles_from_mc_report(report: dict) -> List[dict]:
     return bundles_for_gpu(gpu, source=f"mc-witness:{report['target']}")
 
 
-def _rerun_target(target: str, quiet: bool = True):
-    """Simulate ``micro:<name>`` / ``app:NAME[+flag]`` under capture."""
-    from repro.arch.detector_config import DetectorConfig
-    from repro.telemetry import FlightConfig, Telemetry, TraceConfig
-
-    telemetry = Telemetry(
-        TraceConfig(enabled=False), flight=FlightConfig(mode="full")
-    )
-    kind, _, rest = target.partition(":")
-    if kind == "micro":
-        from repro.scor.micro.base import run_micro
-        from repro.scor.micro.registry import micro_by_name
-
-        gpu = run_micro(
-            micro_by_name(rest),
-            detector_config=DetectorConfig.scord(),
-            telemetry=telemetry,
-        )
-    elif kind == "app":
-        from repro.scor.apps.base import run_app
-        from repro.scor.apps.registry import app_by_name
-
-        app_name, _, flag = rest.partition("+")
-        app = app_by_name(app_name)(races=(flag,) if flag else ())
-        gpu = run_app(
-            app,
-            detector_config=DetectorConfig.scord(),
-            telemetry=telemetry,
-        )
-    else:
-        raise KeyError(
-            f"unknown explain target {target!r}: use micro:<name>, "
-            f"app:NAME[+flag], or a path to a forensics bundle"
-        )
-    return gpu, telemetry
-
-
 def explain_target(
     target: str, out_dir: Optional[str] = None
 ) -> Tuple[List[dict], str]:
@@ -179,7 +143,10 @@ def explain_target(
     if os.path.exists(target) or target.endswith(".json"):
         bundles = _load_bundles_from_path(target)
         return bundles, render_bundles(bundles)
-    gpu, _ = _rerun_target(target)
+    from repro.mc.targets import resolve_target
+
+    # mc's uncontrolled run: ScoRD under full flight capture.
+    gpu = resolve_target(target).execute(None)
     bundles = bundles_for_gpu(gpu, source=f"explain:{target}")
     if out_dir and bundles:
         from repro.forensics.bundle import write_bundles
@@ -192,17 +159,20 @@ def explain_main(argv) -> int:
     """``scord-experiments explain <target>`` entry point."""
     import argparse
 
+    from repro.common.errors import ReproError
+
     parser = argparse.ArgumentParser(
         prog="scord-experiments explain",
-        description="Explain detected races: re-run a micro/app under a "
+        description="Explain detected races: re-run a suite target under a "
         "full-capture flight recorder and print forensic bundles naming "
         "both racing accesses and the severed happens-before edge, or "
         "render an existing bundle file.",
     )
     parser.add_argument(
         "targets", nargs="+",
-        help="micro:<name>, app:NAME[+flag], or a path to a "
-        "forensics-report/v1 bundle JSON / index.json / bundle directory",
+        help="micro:<name>, app:<NAME>[+flag...], litmus:<name> (see "
+        "docs/scor_suite.md), or a path to a forensics-report/v1 bundle "
+        "JSON / index.json / bundle directory / mc-report/v1 file",
     )
     parser.add_argument(
         "--no-trace", action="store_true",
@@ -217,7 +187,7 @@ def explain_main(argv) -> int:
     for target in args.targets:
         try:
             bundles, _ = explain_target(target, out_dir=args.out)
-        except (KeyError, FileNotFoundError, ValueError) as err:
+        except (ReproError, KeyError, FileNotFoundError, ValueError) as err:
             print(f"[explain-error] {err}")
             status = 1
             continue

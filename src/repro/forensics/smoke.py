@@ -88,18 +88,6 @@ def _capture_telemetry():
     )
 
 
-def _run_micro_captured(name: str):
-    from repro.scor.micro.base import run_micro
-    from repro.scor.micro.registry import micro_by_name
-    from repro.arch.detector_config import DetectorConfig
-
-    return run_micro(
-        micro_by_name(name),
-        detector_config=DetectorConfig.scord(),
-        telemetry=_capture_telemetry(),
-    )
-
-
 def _run_weak_poll_captured():
     from repro.arch.detector_config import DetectorConfig
     from repro.scor.micro.base import run_micro
@@ -160,6 +148,8 @@ def check_bundles(target: str, gpu, expected_types) -> list:
 
 
 def main(argv=None) -> int:
+    from repro.mc.targets import resolve_target
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.forensics.smoke",
         description="Run one racy target per race type under flight "
@@ -179,7 +169,7 @@ def main(argv=None) -> int:
     ):
         target = f"micro:{micro_name}"
         print(f"[smoke] {target} (expect {race_type.value})", flush=True)
-        gpu = _run_micro_captured(micro_name)
+        gpu = resolve_target(target).execute(None)
         failures += check_bundles(target, gpu, {race_type})
         bundles = bundles_for_gpu(gpu, source=f"smoke:{target}")
         write_bundles(

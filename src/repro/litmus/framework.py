@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.arch.config import GPUConfig
 from repro.arch.detector_config import DetectorConfig
@@ -61,6 +61,12 @@ class LitmusTest:
         if overlap:
             raise ValueError(f"{self.name}: outcomes both allowed and forbidden: {overlap}")
 
+    @property
+    def bodies(self) -> List[Callable]:
+        """The thread programs, T0 first."""
+        return [body for body in (self.t0, self.t1, self.t2, self.t3)
+                if body is not None]
+
 
 @dataclasses.dataclass
 class LitmusResult:
@@ -100,55 +106,64 @@ class LitmusResult:
         return "\n".join(lines)
 
 
+def litmus_shape(test: LitmusTest, warp_size: int) -> Tuple[int, int]:
+    """(grid, block_dim): one warp per thread, one block per thread
+    unless the threads share a block."""
+    if test.same_block:
+        return 1, 2 * warp_size
+    return len(test.bodies), warp_size
+
+
+def launch_litmus(host, test: LitmusTest, delays: Sequence[int] = ()):
+    """Set *test* up on *host* and launch it once; returns the ``out``
+    observation array.
+
+    *host* is a :class:`~repro.engine.gpu.GPU` or a
+    :class:`~repro.scolint.driver.LintGPU`.  ``delays[i]`` cycles of
+    compute run before thread *i*'s first instruction (none when
+    *delays* is empty).
+    """
+    bodies = test.bodies
+    num_threads = len(bodies)
+    same_block = test.same_block
+    if same_block and num_threads > 2:
+        raise ValueError("same_block litmus tests support two threads")
+    mem = host.alloc(test.shared_words, "mem")
+    out = host.alloc(max(1, test.observed), "out")
+    for i in range(test.observed):
+        host.write(out, i, -1)
+    warp = host.config.threads_per_warp
+
+    def kernel(ctx, mem, out):
+        if same_block:
+            role = 0 if ctx.tid == 0 else (1 if ctx.tid == warp else None)
+        else:
+            role = (
+                ctx.bid if ctx.tid == 0 and ctx.bid < num_threads else None
+            )
+        if role is not None:
+            if delays and delays[role]:
+                yield ctx.compute(delays[role])
+            yield from bodies[role](ctx, mem, out)
+
+    kernel.__name__ = test.name
+    grid, block_dim = litmus_shape(test, warp)
+    host.launch(kernel, grid=grid, block_dim=block_dim, args=(mem, out))
+    return out
+
+
 def run_litmus(
     test: LitmusTest,
     delays: Optional[Tuple[int, ...]] = None,
     gpu_config: Optional[GPUConfig] = None,
 ) -> LitmusResult:
     """Execute *test* over the delay grid; returns the observed outcomes."""
-    config = gpu_config if gpu_config is not None else GPUConfig.scaled_default()
     if delays is None:
         delays = test.delays if test.delays is not None else DEFAULT_DELAYS
     observed: Dict[Outcome, int] = {}
-
-    bodies = [test.t0, test.t1]
-    for extra in (test.t2, test.t3):
-        if extra is not None:
-            bodies.append(extra)
-    num_threads = len(bodies)
-    if test.same_block and num_threads > 2:
-        raise ValueError("same_block litmus tests support two threads")
-
-    grids = itertools.product(*([delays] * num_threads))
-    for point in grids:
-        gpu = GPU(config=config, detector_config=DetectorConfig.none())
-        mem = gpu.alloc(test.shared_words, "mem")
-        out = gpu.alloc(max(1, test.observed), "out")
-        for i in range(test.observed):
-            gpu.write(out, i, -1)
-
-        same_block = test.same_block
-        warp = config.threads_per_warp
-
-        def kernel(ctx, mem, out):
-            if same_block:
-                role = 0 if ctx.tid == 0 else (1 if ctx.tid == warp else None)
-            else:
-                role = (
-                    ctx.bid
-                    if ctx.tid == 0 and ctx.bid < num_threads
-                    else None
-                )
-            if role is not None:
-                if point[role]:
-                    yield ctx.compute(point[role])
-                yield from bodies[role](ctx, mem, out)
-
-        grid, block_dim = (
-            (1, 2 * warp) if same_block else (num_threads, warp)
-        )
-        gpu.launch(kernel, grid=grid, block_dim=block_dim, args=(mem, out))
+    for point in itertools.product(*([delays] * len(test.bodies))):
+        gpu = GPU(config=gpu_config, detector_config=DetectorConfig.none())
+        out = launch_litmus(gpu, test, point)
         outcome = tuple(gpu.read(out, i) for i in range(test.observed))
         observed[outcome] = observed.get(outcome, 0) + 1
-
     return LitmusResult(test, observed)

@@ -7,6 +7,10 @@ Examples::
     scord-experiments mc app:UTS+block_exch_global --detector base --check
     scord-experiments mc suite --store runs/mc --resume
 
+Targets and groups follow the suite catalog (:mod:`repro.targets`,
+docs/scor_suite.md); ``apps`` is every application flagless and once per
+race flag, and ``all`` adds the litmus tests to ``suite``.
+
 Exit code 0 when every exploration completed; with ``--check``, 1 when
 any verdict contradicts the target's ground truth (a racy config not
 proven racy, a race-free config not proven race-free).
@@ -19,38 +23,6 @@ import json
 import sys
 
 from repro.mc.explorer import DEFAULT_BUDGET
-
-
-def _expand_targets(specs):
-    """Expand the ``micros``/``apps``/``suite`` group names."""
-    out = []
-    for spec in specs:
-        if spec == "micros":
-            from repro.scor.micro.registry import ALL_MICROS
-
-            out.extend(f"micro:{m.name}" for m in ALL_MICROS)
-        elif spec == "apps":
-            from repro.scor.apps.registry import ALL_APPS
-
-            out.extend(f"app:{cls.name}" for cls in ALL_APPS)
-        elif spec == "suite":
-            from repro.scor.apps.registry import ALL_APPS
-            from repro.scor.micro.registry import ALL_MICROS
-
-            out.extend(f"micro:{m.name}" for m in ALL_MICROS)
-            for cls in ALL_APPS:
-                out.append(f"app:{cls.name}")
-                out.extend(
-                    f"app:{cls.name}+{flag.name}"
-                    for flag in cls.RACE_FLAGS
-                )
-        elif spec == "litmus":
-            from repro.litmus import ALL_LITMUS_TESTS
-
-            out.extend(f"litmus:{t.name}" for t in ALL_LITMUS_TESTS)
-        else:
-            out.append(spec)
-    return out
 
 
 def checkpoint_path(store_dir: str, label: str) -> str:
@@ -69,7 +41,8 @@ def mc_main(argv) -> int:
     parser.add_argument(
         "targets", nargs="+", metavar="TARGET",
         help="micro:<name>, app:<NAME>[+flag...], litmus:<name>, or a "
-        "group: micros, apps, litmus, suite",
+        "group: micros, apps (each app flagless and once per race flag), "
+        "litmus, suite, all (see docs/scor_suite.md)",
     )
     parser.add_argument(
         "--budget", type=int, default=None, metavar="N",
@@ -128,6 +101,15 @@ def mc_main(argv) -> int:
     from repro.mc.explorer import explore
     from repro.mc.report import render_report
     from repro.mc.targets import resolve_target
+    from repro.targets import expand_targets
+
+    try:
+        targets = [
+            resolve_target(target.label, detector=args.detector)
+            for target in expand_targets(args.targets)
+        ]
+    except ReproError as err:
+        parser.error(str(err))
 
     telemetry = None
     if args.metrics_out:
@@ -141,11 +123,7 @@ def mc_main(argv) -> int:
 
     reports = []
     mismatches = []
-    for spec in _expand_targets(args.targets):
-        try:
-            target = resolve_target(spec, detector=args.detector)
-        except ReproError as err:
-            parser.error(str(err))
+    for target in targets:
         report = explore(
             target,
             budget=budget,

@@ -2,9 +2,9 @@
 
 A target bundles "how to run one controlled execution" with its ground
 truth so the explorer and the proof tests share one resolution path.
-Target strings match the cross-validation suite (``micro:<name>``,
-``app:<NAME>[+flag[+flag...]]``) plus ``litmus:<name>``; fuzz programs
-are wrapped directly via :func:`target_from_program`.
+Target strings follow the suite catalog's grammar (:mod:`repro.targets`:
+``micro:<name>``, ``app:<NAME>[+flag...]``, ``litmus:<name>``); fuzz
+programs are wrapped directly via :func:`target_from_program`.
 
 Every execution builds a fresh GPU (stateless model checking: one
 schedule, one simulation) with tracing off and the flight recorder in
@@ -69,115 +69,21 @@ def resolve_target(
     detector: str = "scord",
     gpu_config: Optional[GPUConfig] = None,
 ) -> McTarget:
-    """Resolve a ``kind:name[+flag...]`` target string."""
-    kind, _, rest = spec.partition(":")
-    try:
-        if kind == "micro":
-            return _micro_target(rest, detector, gpu_config)
-        if kind == "app":
-            name, _, flags = rest.partition("+")
-            races = tuple(f for f in flags.split("+") if f)
-            return _app_target(name, races, detector, gpu_config)
-        if kind == "litmus":
-            return _litmus_target(rest, detector, gpu_config)
-    except KeyError as err:
-        # The registries raise KeyError on unknown names; surface it
-        # as the ConfigError every caller of resolve_target handles.
-        raise ConfigError(f"cannot resolve mc target {spec!r}: "
-                          f"{err.args[0]}") from None
-    raise ConfigError(
-        f"unknown mc target {spec!r}: expected micro:<name>, "
-        "app:<NAME>[+flag...], or litmus:<name>"
-    )
+    """Resolve a :mod:`repro.targets` string into an explorable target.
 
-
-def _micro_target(name, detector, gpu_config) -> McTarget:
-    from repro.scor.micro.base import launch_shape, run_micro
-    from repro.scor.micro.registry import micro_by_name
-
-    micro = micro_by_name(name)
-    config = (
-        gpu_config if gpu_config is not None else GPUConfig.scaled_default()
-    )
-    grid, _ = launch_shape(micro.placement, config.threads_per_warp)
-    detector_config = _detector_config(detector)
-
-    def execute(control):
-        return run_micro(
-            micro,
-            detector_config=detector_config,
-            gpu_config=config,
-            telemetry=_mc_telemetry(),
-            schedule_control=control,
-        )
-
-    return McTarget(
-        label=f"micro:{micro.name}",
-        execute=execute,
-        racy=micro.racey,
-        expected_types=frozenset(t.value for t in micro.expected_types),
-        probe_blocks=grid,
-        detector=detector,
-    )
-
-
-def _app_target(name, races, detector, gpu_config) -> McTarget:
-    from repro.scor.apps.base import run_app
-    from repro.scor.apps.registry import app_by_name
-
-    app_cls = app_by_name(name)
-    detector_config = _detector_config(detector)
-    expected = frozenset(
-        t.value
-        for flag in app_cls.RACE_FLAGS
-        if flag.name in races
-        for t in flag.expected_types
-    )
-
-    def execute(control):
-        return run_app(
-            app_cls(races=races),
-            detector_config=detector_config,
-            gpu_config=gpu_config,
-            telemetry=_mc_telemetry(),
-            schedule_control=control,
-        )
-
-    label = f"app:{app_cls.name}"
-    if races:
-        label += "+" + "+".join(races)
-    return McTarget(
-        label=label,
-        execute=execute,
-        racy=bool(races),
-        expected_types=expected,
-        probe_blocks=app_cls(races=races).grid,
-        detector=detector,
-    )
-
-
-def _litmus_target(name, detector, gpu_config) -> McTarget:
-    """A litmus test at delay point zero: the explorer subsumes the
+    A litmus test runs at delay point zero: the explorer subsumes the
     delay sweep, so distinct interleavings come from decision vectors
-    rather than injected compute stalls.  The observed register tuple
-    is collected per schedule into the report's ``outcomes``."""
+    rather than injected compute stalls.  Its observed register tuple is
+    collected per schedule into the report's ``outcomes``.
+    """
     from repro.engine.gpu import GPU
-    from repro.litmus import litmus_by_name
+    from repro.targets import parse_target
 
-    test = litmus_by_name(name)
+    target = parse_target(spec)
+    detector_config = _detector_config(detector)
     config = (
         gpu_config if gpu_config is not None else GPUConfig.scaled_default()
     )
-    detector_config = _detector_config(detector)
-
-    bodies = [test.t0, test.t1]
-    for extra in (test.t2, test.t3):
-        if extra is not None:
-            bodies.append(extra)
-    num_threads = len(bodies)
-    same_block = test.same_block
-    warp = config.threads_per_warp
-
     observed_arrays = {}
 
     def execute(control):
@@ -187,45 +93,23 @@ def _litmus_target(name, detector, gpu_config) -> McTarget:
             telemetry=_mc_telemetry(),
             schedule_control=control,
         )
-        mem = gpu.alloc(test.shared_words, "mem")
-        out = gpu.alloc(max(1, test.observed), "out")
-        for i in range(test.observed):
-            gpu.write(out, i, -1)
-
-        def kernel(ctx, mem, out):
-            if same_block:
-                role = (
-                    0 if ctx.tid == 0
-                    else (1 if ctx.tid == warp else None)
-                )
-            else:
-                role = (
-                    ctx.bid
-                    if ctx.tid == 0 and ctx.bid < num_threads
-                    else None
-                )
-            if role is not None:
-                yield from bodies[role](ctx, mem, out)
-
-        kernel.__name__ = test.name
-        grid, block_dim = (
-            (1, 2 * warp) if same_block else (num_threads, warp)
-        )
-        gpu.launch(kernel, grid=grid, block_dim=block_dim, args=(mem, out))
-        observed_arrays[id(gpu)] = out
+        out = target.launch(gpu)
+        if out is not None:
+            observed_arrays[id(gpu)] = out
         return gpu
 
     def observe(gpu):
         out = observed_arrays.pop(id(gpu))
-        return tuple(gpu.read(out, i) for i in range(test.observed))
+        return tuple(gpu.read(out, i) for i in range(target.subject.observed))
 
     return McTarget(
-        label=f"litmus:{test.name}",
+        label=target.label,
         execute=execute,
-        racy=None,
-        probe_blocks=1 if same_block else num_threads,
+        racy=target.racy,
+        expected_types=frozenset(t.value for t in target.expected_types),
+        probe_blocks=target.grid(config.threads_per_warp),
         detector=detector,
-        observe=observe,
+        observe=observe if target.kind == "litmus" else None,
     )
 
 

@@ -39,6 +39,7 @@ from repro.scolint.suite import (
     lint_litmus,
     lint_micro,
     lint_suite,
+    lint_target,
     record_lint_metrics,
 )
 
@@ -58,6 +59,7 @@ __all__ = [
     "lint_litmus",
     "lint_micro",
     "lint_suite",
+    "lint_target",
     "record_lint_metrics",
     "render_json",
     "render_text",

@@ -1,8 +1,9 @@
 """Cross-validate static lint verdicts against dynamic ScoRD.
 
-Every case in the suite — 32 microbenchmarks, 7 applications in their
-race-free default configuration, and each application once per injected
-race flag — is judged twice:
+Every case in the suite (the ``suite`` group of :mod:`repro.targets`:
+32 microbenchmarks, 7 applications in their race-free default
+configuration, and each application once per injected race flag) is
+judged twice:
 
 * **statically**, by linting the kernels with :mod:`repro.scolint`
   (schedule-independent, no simulation);
@@ -28,7 +29,7 @@ from repro.arch.config import GPUConfig
 from repro.arch.detector_config import DetectorConfig
 from repro.common.errors import ReproError
 from repro.experiments.tables import render_table
-from repro.scolint.suite import lint_app, lint_micro
+from repro.scolint.suite import lint_target
 from repro.scord.races import RaceType
 
 
@@ -36,7 +37,7 @@ from repro.scord.races import RaceType
 class CrossCase:
     """One suite configuration judged statically and dynamically."""
 
-    target: str                       #: "micro:<name>" | "app:<NAME>[+flag]"
+    target: str                       #: a repro.targets label
     kind: str                         #: "micro" | "app"
     racey: bool
     expected_types: FrozenSet[RaceType]
@@ -219,57 +220,11 @@ class CrossValidation:
 # ----------------------------------------------------------------------
 # Harness
 # ----------------------------------------------------------------------
-def _suite_cases() -> List[CrossCase]:
-    from repro.scor.apps.registry import ALL_APPS
-    from repro.scor.micro.registry import ALL_MICROS
-
-    cases = [
-        CrossCase(
-            target=f"micro:{micro.name}",
-            kind="micro",
-            racey=micro.racey,
-            expected_types=micro.expected_types,
-        )
-        for micro in ALL_MICROS
-    ]
-    for app_cls in ALL_APPS:
-        cases.append(CrossCase(
-            target=f"app:{app_cls.name}",
-            kind="app",
-            racey=False,
-            expected_types=frozenset(),
-        ))
-        cases.extend(
-            CrossCase(
-                target=f"app:{app_cls.name}+{flag.name}",
-                kind="app",
-                racey=True,
-                expected_types=flag.expected_types,
-            )
-            for flag in app_cls.RACE_FLAGS
-        )
-    return cases
-
-
-def _split_target(target: str):
-    kind, _, rest = target.partition(":")
-    name, _, flag = rest.partition("+")
-    return kind, name, flag
-
-
 def _run_static(case: CrossCase, gpu_config) -> None:
-    from repro.scor.apps.registry import app_by_name
-    from repro.scor.micro.registry import micro_by_name
+    from repro.targets import parse_target
 
-    kind, name, flag = _split_target(case.target)
     try:
-        if kind == "micro":
-            result = lint_micro(micro_by_name(name), gpu_config=gpu_config)
-        else:
-            result = lint_app(
-                app_by_name(name), races=(flag,) if flag else (),
-                gpu_config=gpu_config,
-            )
+        result = lint_target(parse_target(case.target), gpu_config=gpu_config)
     except ReproError as err:
         case.static_error = err.describe()
         return
@@ -278,36 +233,22 @@ def _run_static(case: CrossCase, gpu_config) -> None:
 
 
 def _run_dynamic(case: CrossCase, gpu_config, runner=None) -> None:
-    from repro.scor.apps.base import run_app
-    from repro.scor.apps.registry import app_by_name
-    from repro.scor.micro.base import run_micro
-    from repro.scor.micro.registry import micro_by_name
+    from repro.engine.gpu import GPU
+    from repro.targets import parse_target
 
-    kind, name, flag = _split_target(case.target)
-    races = (flag,) if flag else ()
     try:
-        if kind == "micro":
-            gpu = run_micro(
-                micro_by_name(name),
-                detector_config=DetectorConfig.scord(),
-                gpu_config=gpu_config,
-            )
-        elif runner is not None:
+        target = parse_target(case.target)
+        if runner is not None and target.kind == "app":
             # Route through the campaign's memoizing runner: the same
             # (app, scord, races) simulations back Table VI, so a
             # combined campaign pays for them once.
             record = runner.run(
-                app_by_name(name), detector="scord", races=races
+                target.subject, detector="scord", races=target.flags
             )
             case.dynamic_types = frozenset(record.race_types)
             return
-        else:
-            app = app_by_name(name)(races=races)
-            gpu = run_app(
-                app,
-                detector_config=DetectorConfig.scord(),
-                gpu_config=gpu_config,
-            )
+        gpu = GPU(config=gpu_config, detector_config=DetectorConfig.scord())
+        target.launch(gpu)
     except ReproError as err:
         case.dynamic_error = err.describe()
         return
@@ -333,7 +274,19 @@ def cross_validate(
     then flow through its memo/store/cache instead of running inline.
     """
     config = gpu_config if gpu_config is not None else GPUConfig.scaled_default()
-    todo = list(cases) if cases is not None else _suite_cases()
+    if cases is None:
+        from repro.targets import expand_targets
+
+        cases = [
+            CrossCase(
+                target=target.label,
+                kind=target.kind,
+                racey=target.racy,
+                expected_types=target.expected_types,
+            )
+            for target in expand_targets(["suite"])
+        ]
+    todo = list(cases)
     for case in todo:
         _run_static(case, config)
         if dynamic:

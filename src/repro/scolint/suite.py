@@ -1,11 +1,11 @@
 """Lint adapters for everything in the repository that owns a kernel.
 
 Because :class:`~repro.scolint.driver.LintGPU` mirrors the host API of
-the real :class:`~repro.engine.gpu.GPU`, each adapter below replays the
-corresponding runner (``run_micro`` / ``run_app`` / ``run_litmus``) on
-the abstract interpreter — same allocation layout, same wrapper kernel,
-same launch shape — and returns a :class:`LintResult` instead of a
-simulated machine.
+the real :class:`~repro.engine.gpu.GPU`, each adapter below runs the
+same launcher the simulating runner uses (``launch_micro``,
+``ScorApp.run``, ``launch_litmus``) on the abstract interpreter and
+returns a :class:`LintResult` instead of a simulated machine.  Targets
+are named and grouped by :mod:`repro.targets`.
 """
 
 from __future__ import annotations
@@ -14,12 +14,12 @@ import dataclasses
 from typing import List, Optional, Sequence, Union
 
 from repro.arch.config import GPUConfig
-from repro.litmus.framework import LitmusTest
+from repro.litmus.framework import LitmusTest, launch_litmus
 from repro.scolint.analysis import analyze
 from repro.scolint.driver import LintGPU
-from repro.scolint.model import Finding, LintError
+from repro.scolint.model import Finding
 from repro.scor.apps.base import ScorApp
-from repro.scor.micro.base import Micro, MicroMem, launch_shape, role_of
+from repro.scor.micro.base import Micro, launch_micro
 from repro.scord.races import RaceType
 
 
@@ -66,7 +66,12 @@ class LintResult:
         }
 
 
-def _result(target: str, kind: str, gpu: LintGPU) -> LintResult:
+def _lint(
+    target: str, kind: str, launch, gpu_config: Optional[GPUConfig]
+) -> LintResult:
+    """Run *launch* on a fresh LintGPU and classify what it recorded."""
+    gpu = LintGPU(config=gpu_config)
+    launch(gpu)
     findings = analyze(gpu)
     return LintResult(
         target=target,
@@ -77,36 +82,24 @@ def _result(target: str, kind: str, gpu: LintGPU) -> LintResult:
     )
 
 
-# ----------------------------------------------------------------------
-# Microbenchmarks (mirrors scor.micro.base.run_micro)
-# ----------------------------------------------------------------------
+def lint_target(target, gpu_config: Optional[GPUConfig] = None) -> LintResult:
+    """Lint one :class:`repro.targets.Target`."""
+    if target.kind == "app":
+        # Applications lint at lint_app's seed 1, which the lint reports
+        # are pinned to, not at each app's own default seed (GCON 2,
+        # UTS 10) that the simulating tools use.
+        return lint_app(target.subject, races=target.flags,
+                        gpu_config=gpu_config)
+    return _lint(target.label, target.kind, target.launch, gpu_config)
+
+
 def lint_micro(
     micro: Micro, gpu_config: Optional[GPUConfig] = None
 ) -> LintResult:
-    config = gpu_config if gpu_config is not None else GPUConfig.scaled_default()
-    gpu = LintGPU(config=config)
-    mem = MicroMem(
-        data=gpu.alloc(8, "data"),
-        flag=gpu.alloc(1, "flag"),
-        lock=gpu.alloc(1, "lock"),
-        lock2=gpu.alloc(1, "lock2"),
-        aux=gpu.alloc(8, "aux"),
-    )
-    placement = micro.placement
-
-    def wrapper(ctx, mem):
-        role = role_of(ctx, placement)
-        yield from micro.kernel(ctx, role, mem)
-
-    wrapper.__name__ = micro.name
-    grid, block_dim = launch_shape(placement, config.threads_per_warp)
-    gpu.launch(wrapper, grid=grid, block_dim=block_dim, args=(mem,))
-    return _result(f"micro:{micro.name}", "micro", gpu)
+    return _lint(f"micro:{micro.name}", "micro",
+                 lambda gpu: launch_micro(gpu, micro), gpu_config)
 
 
-# ----------------------------------------------------------------------
-# Applications (mirrors scor.apps.base.run_app)
-# ----------------------------------------------------------------------
 def lint_app(
     app: Union[ScorApp, type],
     races: Sequence[str] = (),
@@ -115,56 +108,21 @@ def lint_app(
 ) -> LintResult:
     if isinstance(app, type):
         app = app(races=races, seed=seed)
-    config = gpu_config if gpu_config is not None else GPUConfig.scaled_default()
-    gpu = LintGPU(config=config)
-    app.run(gpu)
     suffix = "+".join(sorted(app.races))
     target = f"app:{app.name}" + (f"+{suffix}" if suffix else "")
-    return _result(target, "app", gpu)
+    return _lint(target, "app", app.run, gpu_config)
 
 
-# ----------------------------------------------------------------------
-# Litmus thread programs (mirrors litmus.framework.run_litmus at the
-# zero-delay grid point — delays inject no synchronization, so one
-# point already carries every ordering fact the rules consult)
-# ----------------------------------------------------------------------
 def lint_litmus(
     test: LitmusTest, gpu_config: Optional[GPUConfig] = None
 ) -> LintResult:
-    config = gpu_config if gpu_config is not None else GPUConfig.scaled_default()
-    gpu = LintGPU(config=config)
-    mem = gpu.alloc(test.shared_words, "mem")
-    out = gpu.alloc(max(1, test.observed), "out")
-    for i in range(test.observed):
-        gpu.write(out, i, -1)
-
-    bodies = [test.t0, test.t1]
-    for extra in (test.t2, test.t3):
-        if extra is not None:
-            bodies.append(extra)
-    num_threads = len(bodies)
-    same_block = test.same_block
-    warp = config.threads_per_warp
-
-    def kernel(ctx, mem, out):
-        if same_block:
-            role = 0 if ctx.tid == 0 else (1 if ctx.tid == warp else None)
-        else:
-            role = (
-                ctx.bid if ctx.tid == 0 and ctx.bid < num_threads else None
-            )
-        if role is not None:
-            yield from bodies[role](ctx, mem, out)
-
-    kernel.__name__ = test.name
-    grid, block_dim = (1, 2 * warp) if same_block else (num_threads, warp)
-    gpu.launch(kernel, grid=grid, block_dim=block_dim, args=(mem, out))
-    return _result(f"litmus:{test.name}", "litmus", gpu)
+    """Lint *test* at the zero-delay grid point: delays inject no
+    synchronization, so one point carries every ordering fact the rules
+    consult."""
+    return _lint(f"litmus:{test.name}", "litmus",
+                 lambda gpu: launch_litmus(gpu, test), gpu_config)
 
 
-# ----------------------------------------------------------------------
-# Whole-suite sweep
-# ----------------------------------------------------------------------
 def lint_suite(
     micros: bool = True,
     apps: bool = True,
@@ -181,24 +139,16 @@ def lint_suite(
     exhibit weak behaviours, so they are opt-in and their findings are
     informational.
     """
-    results: List[LintResult] = []
-    if micros:
-        from repro.scor.micro.registry import ALL_MICROS
-        for micro in ALL_MICROS:
-            results.append(lint_micro(micro, gpu_config=gpu_config))
-    if apps:
-        from repro.scor.apps.registry import ALL_APPS
-        for app_cls in ALL_APPS:
-            results.append(lint_app(app_cls, gpu_config=gpu_config))
-            if race_flags:
-                for flag in app_cls.RACE_FLAGS:
-                    results.append(lint_app(
-                        app_cls, races=(flag.name,), gpu_config=gpu_config
-                    ))
-    if litmus:
-        from repro.litmus.catalog import ALL_LITMUS_TESTS
-        for test in ALL_LITMUS_TESTS:
-            results.append(lint_litmus(test, gpu_config=gpu_config))
+    from repro.targets import expand_targets
+
+    groups = [group for group, wanted in (
+        ("micros", micros), ("apps", apps), ("litmus", litmus)
+    ) if wanted]
+    results = [
+        lint_target(target, gpu_config=gpu_config)
+        for target in expand_targets(groups)
+        if race_flags or not target.flags
+    ]
     if telemetry is not None:
         record_lint_metrics(telemetry, results)
     return results

@@ -145,8 +145,32 @@ def wait_flag(ctx, flag, scope=Scope.DEVICE):
 
 
 # ----------------------------------------------------------------------
-# Runner
+# Launcher and runner
 # ----------------------------------------------------------------------
+def launch_micro(host, micro: Micro) -> None:
+    """Allocate *micro*'s :class:`MicroMem` on *host* and launch it.
+
+    *host* is a :class:`~repro.engine.gpu.GPU` or a
+    :class:`~repro.scolint.driver.LintGPU`; both share the host API.
+    """
+    mem = MicroMem(
+        data=host.alloc(8, "data"),
+        flag=host.alloc(1, "flag"),
+        lock=host.alloc(1, "lock"),
+        lock2=host.alloc(1, "lock2"),
+        aux=host.alloc(8, "aux"),
+    )
+    placement = micro.placement
+
+    def wrapper(ctx, mem):
+        role = role_of(ctx, placement)
+        yield from micro.kernel(ctx, role, mem)
+
+    wrapper.__name__ = micro.name
+    grid, block_dim = launch_shape(placement, host.config.threads_per_warp)
+    host.launch(wrapper, grid=grid, block_dim=block_dim, args=(mem,))
+
+
 def run_micro(
     micro: Micro,
     detector_config: Optional[DetectorConfig] = None,
@@ -156,29 +180,15 @@ def run_micro(
     schedule_control=None,
 ) -> GPU:
     """Run one microbenchmark on a fresh GPU; returns it for inspection."""
-    config = gpu_config if gpu_config is not None else GPUConfig.scaled_default()
-    dconf = detector_config if detector_config is not None else DetectorConfig.scord()
     gpu = GPU(
-        config=config,
-        detector_config=dconf,
+        config=gpu_config,
+        detector_config=(
+            detector_config if detector_config is not None
+            else DetectorConfig.scord()
+        ),
         telemetry=telemetry,
         sample_interval=sample_interval,
         schedule_control=schedule_control,
     )
-    mem = MicroMem(
-        data=gpu.alloc(8, "data"),
-        flag=gpu.alloc(1, "flag"),
-        lock=gpu.alloc(1, "lock"),
-        lock2=gpu.alloc(1, "lock2"),
-        aux=gpu.alloc(8, "aux"),
-    )
-    placement = micro.placement
-
-    def wrapper(ctx, mem):
-        role = role_of(ctx, placement)
-        yield from micro.kernel(ctx, role, mem)
-
-    wrapper.__name__ = micro.name
-    grid, block_dim = launch_shape(placement, config.threads_per_warp)
-    gpu.launch(wrapper, grid=grid, block_dim=block_dim, args=(mem,))
+    launch_micro(gpu, micro)
     return gpu

@@ -1,9 +1,13 @@
 """Flight capture: wrap any detector to feed the flight recorder.
 
-The engine's hot path is left untouched — capture is a *delegating
-detector* (the :class:`~repro.scord.trace.TracingDetector` pattern)
-installed only when flight recording is requested, so the capture-off
-configuration runs byte-for-byte the PR 4 fast path.  When installed:
+This is the one recorder of the access stream.  The engine's hot path
+is left untouched — capture is a *delegating detector* installed only
+when flight recording is requested (``Telemetry(flight=FlightConfig(
+mode="ring" | "full"))``), so the capture-off configuration runs the
+uninstrumented fast path byte for byte.  Ring mode keeps the newest
+``capacity`` events for debugging a kernel or the detector itself;
+:meth:`~repro.telemetry.flight.FlightEvent.describe` renders one event
+per line.  When installed:
 
 * every access/fence/barrier is recorded into the
   :class:`~repro.telemetry.flight.FlightRecorder` *before* delegation

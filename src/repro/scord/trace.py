@@ -1,136 +1,14 @@
-"""Access tracing: wrap any detector to record the access stream.
+"""Canonical race-report export: the golden-trace regression form.
 
-Useful when debugging a kernel or the detector itself: the trace shows
-exactly what the detection hardware observed, in order, with the lock
-blooms and fence events interleaved.
-
->>> from repro.scord.trace import TracingDetector
->>> gpu = GPU(detector_config=DetectorConfig.scord())
->>> gpu.detector = TracingDetector(gpu.detector)        # doctest: +SKIP
+The detector's verdict, reduced to what should only change when
+*detection* changes, rendered byte-stably for the goldens under
+``tests/test_scord/golden/`` and the equivalence tier.  (The per-access
+event stream is recorded by :class:`~repro.scord.capture.FlightCapture`;
+see :mod:`repro.telemetry.flight`.)
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import List, Optional, Tuple
-
-from repro.isa.scopes import Scope
-from repro.scord.interface import Access, BaseDetector
-
-
-@dataclasses.dataclass(frozen=True)
-class TraceEvent:
-    """One observed event (access, fence, or barrier)."""
-
-    cycle: int
-    kind: str  # "ld" / "st" / "atom" / "fence" / "barrier"
-    block_id: int
-    warp_id: int
-    addr: Optional[int] = None
-    scope: Optional[str] = None
-    strong: Optional[bool] = None
-    pc: Optional[Tuple[str, int]] = None
-    array: Optional[str] = None
-
-    def describe(self) -> str:
-        place = f"b{self.block_id}w{self.warp_id}"
-        if self.kind in ("fence", "barrier"):
-            extra = f" scope={self.scope}" if self.scope else ""
-            return f"[{self.cycle:>8}] {place} {self.kind}{extra}"
-        target = self.array or (f"0x{self.addr:x}" if self.addr is not None else "?")
-        qual = " volatile" if self.strong else ""
-        where = f" @{self.pc[0]}:{self.pc[1]}" if self.pc else ""
-        return f"[{self.cycle:>8}] {place} {self.kind} {target}{qual}{where}"
-
-
-class TracingDetector(BaseDetector):
-    """Delegating detector that records every observed event.
-
-    The trace is bounded by *limit* (oldest events are dropped); set
-    ``limit=None`` for unbounded recording on short runs.
-    """
-
-    def __init__(self, inner: BaseDetector, limit: Optional[int] = 10_000):
-        super().__init__()
-        self.inner = inner
-        self.limit = limit
-        self.events: List[TraceEvent] = []
-        self.dropped = 0
-        self.noc_packet_overhead = inner.noc_packet_overhead
-
-    @property
-    def report(self):
-        return self.inner.report
-
-    @report.setter
-    def report(self, value):  # BaseDetector.__init__ assigns this
-        pass
-
-    def _record(self, event: TraceEvent) -> None:
-        if self.limit is not None and len(self.events) >= self.limit:
-            self.events.pop(0)
-            self.dropped += 1
-        self.events.append(event)
-
-    # -- delegation ----------------------------------------------------
-    def attach(self, fabric, stats) -> None:
-        self.inner.attach(fabric, stats)
-
-    def on_access(self, now: int, access: Access) -> int:
-        self._record(
-            TraceEvent(
-                cycle=now,
-                kind=access.kind.value,
-                block_id=access.block_id,
-                warp_id=access.warp_id,
-                addr=access.addr,
-                scope=str(access.scope) if access.kind.value == "atom" else None,
-                strong=access.strong,
-                pc=access.pc,
-                array=access.array_name,
-            )
-        )
-        return self.inner.on_access(now, access)
-
-    def on_fence(self, now: int, block_id: int, warp_id: int, scope: Scope) -> None:
-        self._record(
-            TraceEvent(now, "fence", block_id, warp_id, scope=str(scope))
-        )
-        self.inner.on_fence(now, block_id, warp_id, scope)
-
-    def on_barrier(self, now: int, block_id: int) -> None:
-        self._record(TraceEvent(now, "barrier", block_id, -1))
-        self.inner.on_barrier(now, block_id)
-
-    def on_kernel_boundary(self) -> None:
-        self.inner.on_kernel_boundary()
-
-    def finalize(self) -> None:
-        self.inner.finalize()
-
-    # -- inspection ----------------------------------------------------
-    def events_for(self, array: Optional[str] = None,
-                   addr: Optional[int] = None) -> List[TraceEvent]:
-        """Filter the trace by array name or exact address."""
-        out = self.events
-        if array is not None:
-            out = [e for e in out if e.array == array]
-        if addr is not None:
-            out = [e for e in out if e.addr == addr]
-        return list(out)
-
-    def dump(self, last: int = 50) -> str:
-        """Human-readable tail of the trace."""
-        tail = self.events[-last:]
-        lines = [event.describe() for event in tail]
-        if self.dropped:
-            lines.insert(0, f"... {self.dropped} earlier event(s) dropped ...")
-        return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# Canonical race-report export (golden-trace regression fixtures)
-# ----------------------------------------------------------------------
 #: bump when the canonical report shape changes incompatibly (fixtures
 #: under tests/test_scord/golden/ must be regenerated)
 RACE_REPORT_SCHEMA = 1
@@ -182,9 +60,3 @@ def race_report_json(report) -> str:
     import json
 
     return json.dumps(race_report_dict(report), sort_keys=True, indent=2) + "\n"
-
-
-def export_race_report(report, path) -> None:
-    """Write the canonical race report to *path*."""
-    with open(path, "w") as handle:
-        handle.write(race_report_json(report))

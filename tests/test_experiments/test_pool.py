@@ -241,16 +241,6 @@ class TestPoolSupervisor:
         assert stats["restarts"] == 0
         assert not stats["degraded"]
 
-    def test_ttl_recycles_gracefully_without_budget_cost(self):
-        config = PoolConfig(workers=1, worker_ttl=1, unit_timeout=60)
-        with PoolSupervisor(config) as sup:
-            sup.execute(FAST)
-            sup.execute(RunSpec("RED", "scord", "default"))
-            stats = sup.stats()
-        assert stats["ttl_recycles"] >= 1
-        assert stats["spawned"] == 2  # a fresh worker per TTL window
-        assert stats["restarts"] == 0  # graceful recycling is free
-
     def test_fault_recycles_worker_and_retries_unit(self):
         config = PoolConfig(
             workers=1, unit_timeout=30, heartbeat_timeout=2.0,

@@ -15,19 +15,19 @@ forensic contract from :func:`repro.forensics.smoke.check_bundles`:
 
 import pytest
 
-from repro.arch.detector_config import DetectorConfig
 from repro.forensics import bundles_for_gpu
 from repro.forensics.smoke import check_bundles
-from repro.scolint.crossval import _split_target, _suite_cases
+from repro.mc.targets import resolve_target
 from repro.scolint.model import RULE_FOR_TYPE
-from repro.scolint.suite import lint_app, lint_micro
+from repro.scolint.suite import lint_target
 from repro.scord.races import RaceType
-from repro.telemetry import FlightConfig, Telemetry, TraceConfig
+from repro.targets import expand_targets
 
 pytestmark = pytest.mark.tier2
 
-#: every cross-validation case with a race injected by construction
-CASES = [case for case in _suite_cases() if case.expected_types]
+#: every suite target with a race injected by construction
+CASES = [target for target in expand_targets(["suite"])
+         if target.expected_types]
 
 #: Table VI's one known dynamic miss (43/44): the schedule does not
 #: always drive the racing steal, so ScoRD may legitimately see no race
@@ -36,55 +36,24 @@ CASES = [case for case in _suite_cases() if case.expected_types]
 KNOWN_DYNAMIC_MISSES = {"app:UTS+block_exch_global"}
 
 
-def _run_captured(target):
-    from repro.scor.apps.base import run_app
-    from repro.scor.apps.registry import app_by_name
-    from repro.scor.micro.base import run_micro
-    from repro.scor.micro.registry import micro_by_name
-
-    telemetry = Telemetry(
-        TraceConfig(enabled=False), flight=FlightConfig(mode="full")
-    )
-    kind, name, flag = _split_target(target)
-    if kind == "micro":
-        return run_micro(
-            micro_by_name(name),
-            detector_config=DetectorConfig.scord(),
-            telemetry=telemetry,
-        )
-    app = app_by_name(name)(races=(flag,) if flag else ())
-    return run_app(
-        app, detector_config=DetectorConfig.scord(), telemetry=telemetry
-    )
-
-
-def _lint(target):
-    from repro.scor.apps.registry import app_by_name
-    from repro.scor.micro.registry import micro_by_name
-
-    kind, name, flag = _split_target(target)
-    if kind == "micro":
-        return lint_micro(micro_by_name(name))
-    return lint_app(app_by_name(name), races=(flag,) if flag else ())
-
-
 def test_suite_injects_exactly_44_races():
     assert len(CASES) == 44
 
 
 @pytest.mark.parametrize(
-    "case", CASES, ids=[case.target for case in CASES]
+    "case", CASES, ids=[case.label for case in CASES]
 )
 def test_bundles_agree_with_scolint(case):
-    gpu = _run_captured(case.target)
-    if case.target in KNOWN_DYNAMIC_MISSES and not gpu.races.unique_races:
-        assert bundles_for_gpu(gpu, source=case.target) == []
+    # The uncontrolled full-capture ScoRD run (mc's schedule #0).
+    gpu = resolve_target(case.label).execute(None)
+    if case.label in KNOWN_DYNAMIC_MISSES and not gpu.races.unique_races:
+        assert bundles_for_gpu(gpu, source=case.label) == []
         return
-    failures = check_bundles(case.target, gpu, case.expected_types)
+    failures = check_bundles(case.label, gpu, case.expected_types)
     assert failures == [], "\n".join(failures)
 
-    bundles = bundles_for_gpu(gpu, source=case.target)
-    lint_result = _lint(case.target)
+    bundles = bundles_for_gpu(gpu, source=case.label)
+    lint_result = lint_target(case)
     static_rules = {finding.rule for finding in lint_result.findings}
     for bundle in bundles:
         race_type = RaceType(bundle["race"]["type"])

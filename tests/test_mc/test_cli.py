@@ -69,10 +69,46 @@ def test_checkpoint_path_sanitizes_labels(tmp_path):
     [RACY, "--resume"],               # --resume needs --store
     [RACY, "--budget", "0"],
     [RACY, "--detector", "bogus"],
+    [RACY, "app:RED+typo"],           # checked before any exploration
+    ["app:RED+block_fence+typo"],
+    ["litmus:no_such_test"],
+    ["kernel:RED"],
 ])
-def test_mc_main_rejects_bad_usage(argv):
-    with pytest.raises(SystemExit):
+def test_mc_main_rejects_bad_usage(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
         mc_main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("spec", [
+    "nonsense", "app:RED+typo", "app:NOPE", "micro:no_such_micro",
+])
+def test_bad_target_message_is_shared_by_lint_mc_and_explain(
+    spec, capsys
+):
+    from repro.common.errors import ConfigError
+    from repro.targets import parse_target
+
+    with pytest.raises(ConfigError) as parse_error:
+        parse_target(spec)
+    message = str(parse_error.value)
+    with pytest.raises(SystemExit):
+        experiments_cli.main(["lint", spec])
+    assert f"scord-experiments lint: error: {message}\n" in (
+        capsys.readouterr().err
+    )
+    with pytest.raises(SystemExit):
+        mc_main([spec])
+    assert f"scord-experiments mc: error: {message}\n" in (
+        capsys.readouterr().err
+    )
+    assert explain_main([spec]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"[explain-error] {message}\n"
+    assert "Traceback" not in captured.err
 
 
 def test_mc_main_expands_group_specs(tmp_path):
@@ -159,6 +195,19 @@ def test_explain_replays_an_mc_witness(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "mc-witness:" + RACY in out
     assert "missing-device-fence" in out or "device-fence" in out
+
+
+def test_explain_accepts_a_multi_flag_app_target(capsys):
+    assert explain_main(["app:RED+block_fence+block_count", "--no-trace"]) == 0
+    out = capsys.readouterr().out
+    header = out.splitlines()[0]
+    assert header.startswith("--- app:RED+block_fence+block_count: ")
+    assert int(header.split(": ")[1].split()[0]) >= 1
+
+
+def test_explain_accepts_a_litmus_target(capsys):
+    assert explain_main(["litmus:mp_device_fence"]) == 0
+    assert "no races detected" in capsys.readouterr().out
 
 
 def test_explain_rejects_a_bad_mc_report(tmp_path, capsys):

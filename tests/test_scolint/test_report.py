@@ -100,7 +100,35 @@ class TestLintCli:
     def test_lint_unknown_target_errors(self, capsys):
         with pytest.raises(SystemExit):
             main(["lint", "nonsense"])
-        assert "unknown lint target" in capsys.readouterr().err
+        assert "unknown target 'nonsense'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", [
+        "app:RED+typo",              # unknown flag
+        "app:NOPE",                  # unknown application
+        "micro:no_such_micro",       # unknown micro
+        "litmus:no_such_test",       # unknown litmus test
+        "kernel:RED",                # unknown kind
+    ])
+    def test_lint_bad_target_is_a_usage_error(self, spec, capsys):
+        # Checked before any target is linted: argparse exit 2, the
+        # grammar in the message, no traceback.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["lint", "micro:fence_missing_cross_block", spec])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert repr(spec) in captured.err
+        assert "app:<NAME>[+flag...]" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_lint_multi_flag_app_target(self, capsys):
+        assert main([
+            "lint", "app:RED+block_fence+block_count", "--json",
+        ]) == 0
+        report = json.loads(capsys.readouterr().out)
+        (target,) = report["targets"]
+        assert target["target"] == "app:RED+block_count+block_fence"
+        assert not target["clean"]
 
     def test_lint_metrics_out(self, tmp_path, capsys):
         path = tmp_path / "metrics.prom"

@@ -1,4 +1,5 @@
-"""Access tracing and race-report export."""
+"""Access recording through ring-mode flight capture, and race-report
+export."""
 
 import json
 
@@ -7,15 +8,22 @@ import pytest
 from repro.arch.detector_config import DetectorConfig
 from repro.engine.gpu import GPU
 from repro.isa.scopes import Scope
-from repro.scord.trace import TracingDetector
+from repro.telemetry import FlightConfig, Telemetry, TraceConfig
+
+
+def _ring_gpu(capacity=10_000):
+    return GPU(
+        detector_config=DetectorConfig.scord(),
+        telemetry=Telemetry(
+            TraceConfig(enabled=False),
+            flight=FlightConfig(mode="ring", capacity=capacity),
+        ),
+    )
 
 
 @pytest.fixture
 def traced_gpu():
-    gpu = GPU(detector_config=DetectorConfig.scord())
-    gpu.detector = TracingDetector(gpu.detector)
-    gpu.pipeline.detector = gpu.detector
-    return gpu
+    return _ring_gpu()
 
 
 def racey_kernel(ctx, data):
@@ -32,22 +40,23 @@ class TestTracing:
     def test_events_recorded_in_order(self, traced_gpu):
         data = traced_gpu.alloc(2, "data")
         traced_gpu.launch(racey_kernel, grid=2, block_dim=8, args=(data,))
-        trace = traced_gpu.detector
-        kinds = [e.kind for e in trace.events]
+        events = traced_gpu.telemetry.flight.snapshot()
+        kinds = [e.kind for e in events]
         assert "st" in kinds and "ld" in kinds
         assert "fence" in kinds and "atom" in kinds
-        cycles = [e.cycle for e in trace.events]
+        cycles = [e.cycle for e in events]
         assert cycles == sorted(cycles)
 
     def test_filtering(self, traced_gpu):
         data = traced_gpu.alloc(2, "data")
         traced_gpu.launch(racey_kernel, grid=2, block_dim=8, args=(data,))
-        trace = traced_gpu.detector
-        for event in trace.events_for(array="data"):
-            assert event.array == "data"
-        word1 = trace.events_for(addr=data.addr(1))
+        flight = traced_gpu.telemetry.flight
+        word1 = flight.slice_for(addr=data.addr(1))
+        assert word1
         assert all(e.addr == data.addr(1) for e in word1)
         assert any(e.kind == "atom" for e in word1)
+        accesses = [e for e in flight.events if e.array is not None]
+        assert {e.array for e in accesses} == {"data"}
 
     def test_detection_still_works_through_the_wrapper(self, traced_gpu):
         data = traced_gpu.alloc(2, "data")
@@ -55,9 +64,7 @@ class TestTracing:
         assert traced_gpu.races.unique_count >= 1
 
     def test_bounded_trace_drops_oldest(self):
-        gpu = GPU(detector_config=DetectorConfig.scord())
-        gpu.detector = TracingDetector(gpu.detector, limit=5)
-        gpu.pipeline.detector = gpu.detector
+        gpu = _ring_gpu(capacity=5)
         data = gpu.alloc(8, "data")
 
         def many(ctx, data):
@@ -65,14 +72,21 @@ class TestTracing:
                 yield ctx.st(data, i, i, volatile=True)
 
         gpu.launch(many, grid=1, block_dim=1, args=(data,))
-        trace = gpu.detector
-        assert len(trace.events) == 5
-        assert trace.dropped > 0
+        flight = gpu.telemetry.flight
+        assert len(flight.events) == 5
+        assert flight.dropped > 0
+        # The survivors are the newest stores.
+        assert [e.addr for e in flight.events if e.kind == "st"][-1] == (
+            data.addr(7)
+        )
 
     def test_dump_is_readable(self, traced_gpu):
         data = traced_gpu.alloc(2, "data")
         traced_gpu.launch(racey_kernel, grid=2, block_dim=8, args=(data,))
-        dump = traced_gpu.detector.dump(last=10)
+        dump = "\n".join(
+            event.describe()
+            for event in traced_gpu.telemetry.flight.snapshot()[-10:]
+        )
         assert "data" in dump
         assert "b0w0" in dump
 
