@@ -1,6 +1,6 @@
 #!/usr/bin/env python
-"""Benchmark the parallel campaign executor: serial vs ``--jobs``, cold
-vs content-addressed cache, on the Table VI detection campaign.
+"""Benchmark the campaign unit scheduler: serial vs ``--jobs``, cold vs
+content-addressed cache, on the Table VI detection campaign.
 
 Emits ``BENCH_campaign.json`` — the start of the campaign-throughput
 perf trajectory.  Three phases over the same unit list:
@@ -33,10 +33,7 @@ import tempfile
 import time
 
 from repro.experiments.campaign import RunSpec
-from repro.experiments.parallel import (
-    ParallelCampaignExecutor,
-    ResultCache,
-)
+from repro.experiments.parallel import ResultCache, UnitScheduler
 from repro.experiments.store import atomic_write_json, semantic_record_dict
 from repro.experiments.supervisor import PoolConfig, PoolSupervisor
 from repro.scor.apps.registry import ALL_APPS
@@ -120,13 +117,12 @@ def run_phase(units, jobs, cache, timeout, verbose) -> dict:
     supervisor = PoolSupervisor(
         PoolConfig(workers=jobs, unit_timeout=timeout, max_retries=1)
     )
-    parallel = ParallelCampaignExecutor(
-        supervisor, jobs=jobs, cache=cache, verbose=verbose
-    )
+    scheduler = UnitScheduler(supervisor, threads=jobs, cache=cache)
     started = time.time()
     try:
-        outcome = parallel.run_units(units)
+        outcome = scheduler.run_units(units, verbose=verbose)
     finally:
+        scheduler.close()
         supervisor.close()
     seconds = time.time() - started
     return {
@@ -144,7 +140,8 @@ def run_phase(units, jobs, cache, timeout, verbose) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--jobs", type=int, default=4,
-                        help="shard count for the parallel phases")
+                        help="workers and dispatchers for the parallel "
+                        "phases")
     parser.add_argument("--campaign", choices=("table6", "ci"),
                         default="table6",
                         help="'table6' = all 26 flags x {base, scord}; "
@@ -164,7 +161,7 @@ def main(argv=None) -> int:
     work_dir = args.work_dir or tempfile.mkdtemp(prefix="bench_campaign.")
     log = lambda msg: print(msg, file=sys.stderr, flush=True)
 
-    # More shards than CPUs cannot speed up CPU-bound simulation — the
+    # More jobs than CPUs cannot speed up CPU-bound simulation — the
     # dispatcher threads just time-slice one core and the "speedup"
     # reads as a misleading <1x.  Clamp and say so instead.
     cpus = os.cpu_count() or 1

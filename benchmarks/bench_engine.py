@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Benchmark the single-process engine hot path (serial-cold Table VI).
 
-``BENCH_campaign.json`` measures campaign *orchestration* (sharding,
+``BENCH_campaign.json`` measures campaign *orchestration* (dispatch,
 subprocess isolation, the result cache); this benchmark measures the
 **engine core itself**: every Table VI unit simulated in-process,
 serially, with nothing cached — the per-unit cost that dominates

@@ -10,8 +10,9 @@ executor shares:
 * :class:`RunFailure` — a run that failed permanently (retries
   exhausted), which exhibits render as ``FAILED(reason)`` cells and the
   CLI collects into a failure manifest;
-* :class:`CampaignRunner` — a :class:`Runner` whose cache misses go to
-  an executor; in a campaign that is the supervised worker pool
+* :class:`CampaignRunner` — a :class:`Runner` whose memo misses go to
+  the unit scheduler over an executor; in a campaign that is the
+  supervised worker pool
   (:class:`~repro.experiments.supervisor.PoolSupervisor`), which brings
   crash isolation, unit timeouts, and retry with backoff;
 * :class:`InProcessExecutor` — the serial, watchdog-guarded floor the
@@ -45,6 +46,9 @@ from repro.experiments.store import RunStore
 from repro.scor.apps.base import ScorApp
 
 SPEC_SCHEMA = 1
+
+#: the scheduler client a campaign's units queue under
+CAMPAIGN_CLIENT = "campaign"
 
 #: retryable failure categories; deterministic misconfigurations are not
 _NO_RETRY_CODES = frozenset({"config", "kernel"})
@@ -150,12 +154,15 @@ def _worker_env() -> dict:
 # The resilient Runner
 # ----------------------------------------------------------------------
 class CampaignRunner(Runner):
-    """A :class:`Runner` whose cache misses execute in isolated workers.
+    """A :class:`Runner` whose memo misses run on a unit scheduler.
 
     Drop-in for the exhibits: same ``run()`` signature, same memoizing
-    cache, but a hung or crashed simulation costs one run (retried, then
-    marked failed) instead of the campaign.  Permanent failures are
-    collected in :attr:`failures` for the CLI's manifest.
+    cache, but every miss goes, as the ``campaign`` client, to the
+    :class:`~repro.experiments.parallel.UnitScheduler` (*jobs*
+    dispatchers over *executor*) that the prefetch also feeds.  A hung
+    or crashed simulation costs one run (retried, then marked failed)
+    instead of the campaign.  Permanent failures are collected in
+    :attr:`failures` for the CLI's manifest.
 
     *executor* is a :class:`~repro.experiments.supervisor.PoolSupervisor`;
     flight capture happens worker-side, so the supervisor is built with
@@ -172,16 +179,25 @@ class CampaignRunner(Runner):
         telemetry=None,
         flight=None,
         forensics_dir=None,
+        result_cache=None,
+        jobs: int = 1,
     ):
+        from repro.experiments.parallel import UnitScheduler
+
         # Telemetry note: kernel-level spans only exist for in-process
         # simulation; isolated workers run in their own interpreter, so
         # this runner's traces stop at the unit span (which still times
         # the worker round-trip).
         super().__init__(
             verbose=verbose, store=store, preload=preload,
-            telemetry=telemetry, flight=flight, forensics_dir=forensics_dir,
+            result_cache=result_cache, telemetry=telemetry, flight=flight,
+            forensics_dir=forensics_dir,
         )
         self.executor = executor
+        self.scheduler = UnitScheduler(
+            executor, threads=max(1, jobs), cache=result_cache,
+            store=store, telemetry=telemetry,
+        )
         self.failures: List[RunFailure] = []
         #: units a parallel prefetch already failed permanently; keyed by
         #: run_key, consulted so exhibits do not pay the retries twice
@@ -190,15 +206,7 @@ class CampaignRunner(Runner):
     def _all_forensics_units(self) -> List[dict]:
         return self.executor.all_forensics_units()
 
-    def _simulate(
-        self,
-        app_cls: Type[ScorApp],
-        detector: str,
-        memory: str,
-        races: Tuple[str, ...],
-        seed: int = 1,
-    ) -> RunRecord:
-        spec = RunSpec(app_cls.name, detector, memory, tuple(races), seed)
+    def _answer(self, app_cls: Type[ScorApp], spec: RunSpec):
         prior = self.prefailed.get(spec.key())
         if prior is not None:
             raise RunFailedError(
@@ -206,12 +214,16 @@ class CampaignRunner(Runner):
                 f"prefetch: {prior.category}: {prior.message}",
                 failure=prior,
             )
+        future, source = self.scheduler.submit(CAMPAIGN_CLIENT, spec)
+        if source != "cache":
+            self._announce(spec)
         try:
-            return self.executor.execute(spec)
+            record = future.result()
         except RunFailedError as err:
             if err.failure is not None:
                 self.failures.append(err.failure)
             raise
+        return record, "cache" if source == "cache" else "run"
 
 
 # ----------------------------------------------------------------------

@@ -22,9 +22,10 @@ Resilience (see docs/architecture.md, "Resilience"):
 
 Parallelism and caching (see docs/architecture.md, "Parallel campaigns"):
 
-* With ``--jobs N`` the campaign's work units are sharded across the N
-  workers with work stealing and a deterministic merge — results are
-  identical to ``--jobs 1`` and to the in-process default.
+* With ``--jobs N`` the campaign's work units queue on one unit
+  scheduler whose N dispatchers drive the N workers, with a
+  deterministic merge — results are identical to ``--jobs 1`` and to
+  the in-process default.
   ``--chaos-kill-every N`` deliberately SIGKILLs a worker every Nth
   unit (resilience drills).
 * ``--cache-dir PATH`` layers a content-addressed result cache over the
@@ -400,13 +401,11 @@ def _build_runner(
         )
     from repro.experiments.campaign import CampaignRunner
 
-    runner = CampaignRunner(
+    return CampaignRunner(
         supervisor, verbose=verbose, store=store, preload=args.resume,
-        telemetry=telemetry,
-        flight=flight, forensics_dir=args.forensics_out,
+        telemetry=telemetry, flight=flight, forensics_dir=args.forensics_out,
+        result_cache=cache, jobs=args.jobs,
     )
-    runner.result_cache = cache
-    return runner
 
 
 def _profile_section(runner, telemetry, elapsed_seconds):
@@ -870,8 +869,9 @@ def main(argv=None) -> int:
             lint_section = _preflight_lint()
     plannable = [name for name in wanted if name in RUNNER_EXHIBITS]
     exhibit_errors = {}
-    # One pool serves the prefetch and every unit the planner missed;
-    # it closes before the manifest so its stats are final.
+    # One scheduler and pool serve the prefetch and every unit the
+    # planner missed; they close before the manifest so its stats are
+    # final.
     try:
         if supervisor is not None and plannable:
             from repro.experiments.parallel import prefetch_exhibits
@@ -880,13 +880,11 @@ def main(argv=None) -> int:
                 with telemetry.tracer.span("parallel-prefetch", cat="exp"), \
                         telemetry.profiler.phase("exp.prefetch"):
                     prefetch_exhibits(
-                        runner, runners, plannable, jobs=args.jobs,
-                        cache=cache, verbose=not args.quiet,
+                        runner, runners, plannable, verbose=not args.quiet
                     )
             else:
                 prefetch_exhibits(
-                    runner, runners, plannable, jobs=args.jobs,
-                    cache=cache, verbose=not args.quiet,
+                    runner, runners, plannable, verbose=not args.quiet
                 )
         for name in wanted:
             try:
@@ -909,6 +907,7 @@ def main(argv=None) -> int:
             print()
     finally:
         if supervisor is not None:
+            runner.scheduler.close()
             supervisor.close()
     pool_section = None
     if supervisor is not None:

@@ -27,7 +27,9 @@ the list — each engineered to surface as a *distinct* code from the
 * **pool-frame** — emit a corrupt result frame: valid length prefix,
   garbage body (→ ``protocol-desync``);
 * **pool-loris** — keep the pipe warm by trickling partial frame bytes
-  that never complete (→ ``slow-loris``).
+  that never complete (→ ``slow-loris``);
+* **pool-slow** — not a fault: wait :data:`SLOW_UNIT_SECONDS`, beating
+  the unit's watchdog, then simulate (a slow unit that needs no CPU).
 
 A :class:`FaultPlan` is parent-side policy: it decides, per run and per
 attempt, which action the worker is told to perform — e.g. "hang on the
@@ -48,7 +50,12 @@ from typing import Optional, Tuple
 from repro.common.errors import ConfigError, SimulationError
 
 #: pool-worker actions (served by :func:`apply_pool_fault`)
-POOL_ACTIONS = ("pool-kill", "pool-hang", "pool-frame", "pool-loris")
+POOL_ACTIONS = (
+    "pool-kill", "pool-hang", "pool-frame", "pool-loris", "pool-slow",
+)
+
+#: how long a ``pool-slow`` unit waits before it simulates
+SLOW_UNIT_SECONDS = 1.0
 
 #: worker-side actions a plan may request
 ACTIONS = ("hang", "crash", "error") + POOL_ACTIONS
@@ -124,7 +131,7 @@ class ChaosPlan:
     always run clean, so a chaos campaign converges to the same records
     a clean run produces — the property the chaos-recovery test pins.
 
-    The counter is lock-guarded: pool shards call ``action_for``
+    The counter is lock-guarded: scheduler dispatchers call ``action_for``
     concurrently.
     """
 
@@ -171,7 +178,8 @@ def apply_fault(action: Optional[str]) -> None:
 
 
 def apply_pool_fault(
-    action: Optional[str], out, request_id, beat_every: float
+    action: Optional[str], out, request_id, beat_every: float,
+    guard_factory=None,
 ) -> None:
     """Execute an injected fault inside a *pool* worker, mid-unit.
 
@@ -213,6 +221,13 @@ def apply_pool_fault(
             time.sleep(max(0.05, beat_every / 4))
             out.write(b".")
             out.flush()
+    elif action == "pool-slow":
+        # Sleep, not spin: survival depends on heartbeats, not host load.
+        guard = guard_factory()
+        guard.start()
+        while guard.elapsed() < SLOW_UNIT_SECONDS:
+            time.sleep(0.01)
+            guard.check(cycle=0, events_processed=0)
 
 
 # ----------------------------------------------------------------------

@@ -1,20 +1,21 @@
-"""Parallel sharded campaigns and the content-addressed result cache.
+"""The unit scheduler and the content-addressed result cache.
 
 Every work unit runs in an isolated pool worker
 (:class:`~repro.experiments.supervisor.PoolSupervisor`), so
 inter-simulation parallelism only needs the *parent* to drive several
-workers at once.  :class:`ParallelCampaignExecutor` shards a campaign's
-(app, detector, memory, races, seed) units across the pool's workers,
-fed work-stealing style from one shared queue — an idle shard steals
-the next unit the moment it finishes, so one slow unit (UTS) never
-serializes a shard's backlog behind it.
+workers at once.  :class:`UnitScheduler` does that for campaigns and for
+the scord-serve daemon alike: a fair per-client queue drained by
+long-lived dispatcher threads, one ``digest -> future`` table that
+memoizes and coalesces units, and one miss step (cache read rule,
+executor, cache write, store append).
 
 Two properties are load-bearing:
 
-* **Deterministic merge** — results are returned in unit *submission*
-  order regardless of completion order, and failures occupy their unit's
-  slot.  A campaign at ``--jobs 4`` is record-for-record identical to
-  ``--jobs 1`` (wall-clock aside); tests assert this.
+* **Deterministic merge** — a campaign reads its results in unit
+  *submission* order regardless of completion order, and failures
+  occupy their unit's slot.  A campaign at ``--jobs 4`` is
+  record-for-record identical to ``--jobs 1`` (wall-clock aside); tests
+  assert this.
 * **Content addressing** — a :class:`ResultCache` keyed by
   :func:`repro.experiments.store.unit_digest` (a stable hash of the
   resolved GPU config, resolved detector config, kernel identity, seed,
@@ -26,27 +27,35 @@ Two properties are load-bearing:
 :func:`prefetch_exhibits` bridges the exhibit layer: exhibits request
 runs one at a time, so it first *plans* the campaign by dry-running each
 exhibit against a :class:`PlanningRunner` (which records the request
-stream and answers with synthetic records), then executes the collected
-units in parallel and injects the results into the real runner's cache.
-Planning is best-effort: a unit the planner misses is simply run by the
-exhibit itself, on the same pool, so parallelism is an optimization,
-never a correctness dependency.
+stream and answers with synthetic records), then runs the collected
+units on the campaign runner's scheduler.  Planning is best-effort: a
+unit the planner misses is submitted by the exhibit itself, to the same
+scheduler, so parallelism is an optimization, never a correctness
+dependency.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
 import json
 import os
 import sys
 import threading
 import time
 from collections import deque
+from concurrent.futures import Future
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.common.errors import ConfigError, RunFailedError, StoreError
-from repro.experiments.campaign import CampaignRunner, RunFailure, RunSpec
-from repro.experiments.runner import RunRecord, Runner
+from repro.common.errors import ConfigError, ReproError, error_code
+from repro.experiments.campaign import (
+    CAMPAIGN_CLIENT,
+    CampaignRunner,
+    RunFailure,
+    RunSpec,
+)
+from repro.experiments.runner import RunRecord, Runner, file_record, read_cache
 from repro.experiments.store import (
     SCHEMA_VERSION,
     atomic_write_json,
@@ -70,8 +79,8 @@ class ResultCache:
     full record; reads re-derive the digest from the request and treat
     any mismatch, parse error, or schema drift as a miss — a corrupt
     cache can cost time, never correctness.  Writes are atomic (temp
-    file + rename), so concurrent shards may race to fill the same entry
-    and the loser simply overwrites it with identical bytes.
+    file + rename), so concurrent writers may race to fill the same
+    entry and the loser simply overwrites it with identical bytes.
 
     Invalidation is by construction: the digest hashes the record schema
     version and the resolved configurations, so a schema bump or any
@@ -193,7 +202,8 @@ class UnitOutcome:
     record: Optional[RunRecord] = None
     failure: Optional[RunFailure] = None
     source: str = "run"  # "run" | "cache"
-    shard: int = 0
+    #: the dispatcher that ran the unit (None: answered at submission)
+    shard: Optional[int] = None
     seconds: float = 0.0
 
     @property
@@ -210,10 +220,6 @@ class CampaignOutcome:
     elapsed_seconds: float
 
     @property
-    def records(self) -> List[RunRecord]:
-        return [o.record for o in self.outcomes if o.record is not None]
-
-    @property
     def failures(self) -> List[RunFailure]:
         return [o.failure for o in self.outcomes if o.failure is not None]
 
@@ -226,16 +232,6 @@ class CampaignOutcome:
         return sum(
             1 for o in self.outcomes if o.source == "run" and o.ok
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "jobs": self.jobs,
-            "units": len(self.outcomes),
-            "executed": self.executed,
-            "cache_hits": self.cache_hits,
-            "failed": len(self.failures),
-            "elapsed_seconds": round(self.elapsed_seconds, 3),
-        }
 
 
 def dedupe_specs(specs: Sequence[RunSpec]) -> List[RunSpec]:
@@ -252,169 +248,287 @@ def dedupe_specs(specs: Sequence[RunSpec]) -> List[RunSpec]:
 
 
 # ----------------------------------------------------------------------
-# The parallel executor
+# The unit scheduler
 # ----------------------------------------------------------------------
-class ParallelCampaignExecutor:
-    """Shards work units across concurrent isolated workers.
+class UnitFuture(Future):
+    """A unit's answer; its dispatcher notes where and how long it ran."""
 
-    Each shard is a parent-side dispatcher thread that steals the next
-    unit from a shared queue and drives one worker at a time through
-    *executor* (any object with ``execute(spec) -> RunRecord`` raising
-    :class:`RunFailedError`; normally a
-    :class:`~repro.experiments.supervisor.PoolSupervisor`, whose
-    ``execute`` blocks on one unit and brings process isolation,
-    watchdogs, timeout, and retry/backoff per unit).  The GIL is
-    irrelevant: the simulations burn CPU in separate worker *processes*
-    while the dispatcher threads wait on their pipes.
+    def __init__(self):
+        super().__init__()
+        #: index of the dispatcher thread that ran the unit (None when
+        #: the memo table or the disk cache answered it at submission)
+        self.dispatcher: Optional[int] = None
+        self.seconds = 0.0
 
-    The optional *cache* is consulted before executing and filled after;
-    the optional *store* is appended to by the parent (serialized by a
-    lock, so concurrent shards can never interleave torn JSONL lines)
-    the moment each unit completes — durability does not wait for the
-    merge.
+
+class UnitScheduler:
+    """One fair, coalescing queue of work units in front of an executor.
+
+    Campaigns (one client, ``--jobs`` dispatchers) and the scord-serve
+    daemon (one client per ``X-Scord-Client``) both run units here.  A
+    FIFO per client is drained round-robin, one unit at a time, by
+    long-lived dispatcher threads, no client running more than
+    *per_client* units at once; a campaign unit's dispatcher blocks
+    in ``executor.execute(spec)`` (normally a
+    :class:`~repro.experiments.supervisor.PoolSupervisor`, so the GIL is
+    irrelevant: simulations burn CPU in worker processes).  One
+    ``digest -> future`` table is both the memo (a done future answers a
+    resubmitted unit) and the coalescing registry (an identical queued
+    or running unit is joined, not re-run); a failed future leaves it,
+    so a resubmitted unit runs again.  Memo and cache hits are answered
+    by :meth:`submit` itself, never by a dispatcher, so a resubmitted
+    job does not wait behind another client's simulations.  Misses take
+    the one miss step: :func:`~repro.experiments.runner.read_cache`,
+    executor, :func:`~repro.experiments.runner.file_record` (store
+    appends under one lock never interleave torn JSONL lines).
     """
 
     def __init__(
         self,
         executor,
-        jobs: int = 0,
+        threads: int = 1,
         cache: Optional[ResultCache] = None,
         store=None,
-        verbose: bool = False,
-        progress_stream=None,
         telemetry=None,
+        per_client: Optional[int] = None,
     ):
-        if jobs < 0:
-            raise ConfigError("jobs must be >= 0 (0 = one per CPU)")
+        if threads < 1:
+            raise ConfigError("a unit scheduler needs >= 1 dispatcher")
         self.executor = executor
-        self.jobs = jobs or (os.cpu_count() or 1)
+        self.threads = threads
+        #: most units one client runs at once (None: every dispatcher)
+        self.per_client = per_client or threads
         self.cache = cache
         self.store = store
-        self.verbose = verbose
-        self.progress_stream = progress_stream or sys.stderr
-        #: optional :class:`repro.telemetry.Telemetry` — unit spans land
-        #: on each dispatcher thread's own trace track
+        #: optional :class:`repro.telemetry.Telemetry` — campaign unit
+        #: spans land on each dispatcher thread's own trace track
         self.telemetry = telemetry
+        #: the executor captures flight events: write the cache, never
+        #: read it (:func:`~repro.experiments.runner.read_cache`)
+        self.capture = getattr(executor, "flight", None) is not None
+        self._cond = threading.Condition()
         self._store_lock = threading.Lock()
-        self._progress_lock = threading.Lock()
-        self._done = 0
-        self._total = 0
+        self._table: Dict[str, UnitFuture] = {}
+        #: client -> FIFO of (digest, future, run), in arrival order
+        self._queues: Dict[str, deque] = {}
+        self._running: Dict[str, int] = {}
+        self._turn = 0
+        self._active = 0
+        self._stopping = False
+        self._threads = [
+            threading.Thread(
+                target=self._dispatch, args=(index,),
+                name=f"unit-dispatch-{index}", daemon=True,
+            )
+            for index in range(threads)
+        ]
+        for thread in self._threads:
+            thread.start()
+
+    def __enter__(self) -> "UnitScheduler":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
-    def run_units(self, specs: Sequence[RunSpec]) -> CampaignOutcome:
-        """Run every unit; return outcomes in submission order."""
+    def submit(
+        self, client: str, spec: Optional[RunSpec] = None,
+        digest: Optional[str] = None, run=None,
+    ) -> Tuple[UnitFuture, str]:
+        """Answer one unit now, or queue it under *client*.
+
+        A campaign unit is a :class:`RunSpec`: its digest defaults to
+        :func:`unit_digest` and its run to :meth:`execute`.  A unit
+        with no spec (the service's programs) passes its own *digest*
+        and a zero-argument *run*.  Returns ``(future, source)``:
+        ``"cache"`` when the memo table or the disk cache answered (the
+        future is done), ``"coalesced"`` when an identical unit is
+        queued or running, else ``"executed"``.
+        """
+        if digest is None:
+            digest = unit_digest(
+                spec.app, spec.detector, spec.memory, spec.races, spec.seed
+            )
+        with self._cond:
+            known = self._known(digest)
+        if known is not None:
+            return known
+        future = UnitFuture()
+        record = read_cache(self.cache, spec, self.capture) if spec else None
+        if record is not None:
+            future.set_result(record)
+            with self._cond:
+                self._table.setdefault(digest, future)
+            return future, "cache"
+        with self._cond:
+            known = self._known(digest)
+            if known is not None:
+                return known
+            if self._stopping:
+                future.cancel()
+                return future, "executed"
+            self._table[digest] = future
+            if run is None:
+                run = functools.partial(self.execute, spec)
+            self._queues.setdefault(client, deque()).append(
+                (digest, future, run)
+            )
+            # all: a drain() waiter shares the condition with dispatchers
+            self._cond.notify_all()
+        return future, "executed"
+
+    def _known(self, digest: str) -> Optional[Tuple[UnitFuture, str]]:
+        future = self._table.get(digest)
+        if future is None:
+            return None
+        return future, "cache" if future.done() else "coalesced"
+
+    def execute(self, spec: RunSpec) -> RunRecord:
+        """Run one campaign unit on the executor and keep its record."""
+        span = contextlib.nullcontext()
+        if self.telemetry is not None:
+            span = self.telemetry.tracer.span(
+                f"unit:{spec.describe()}", cat="exp"
+            )
+        with span:
+            record = self.executor.execute(spec)
+        with self._store_lock:
+            file_record(record, self.cache, self.store)
+        return record
+
+    # ------------------------------------------------------------------
+    def _dispatch(self, index: int) -> None:
+        while True:
+            with self._cond:
+                item = self._next()
+                while item is None and not self._stopping:
+                    self._cond.wait()
+                    item = self._next()
+                if self._stopping:
+                    return
+                client, (digest, future, run) = item
+                self._active += 1
+                self._running[client] = self._running.get(client, 0) + 1
+            started = time.monotonic()
+            error = value = None
+            try:
+                value = run()
+            except Exception as err:  # the future carries it to waiters
+                error = err
+            future.dispatcher = index
+            future.seconds = time.monotonic() - started
+            if error is None:
+                future.set_result(value)
+            else:
+                with self._cond:
+                    self._table.pop(digest, None)
+                future.set_exception(error)
+            with self._cond:
+                self._active -= 1
+                self._running[client] -= 1
+                self._cond.notify_all()
+
+    def _next(self):
+        """Pop the next unit, one client at a time, or None when every
+        client with queued units already runs *per_client* of them
+        (caller holds the lock)."""
+        clients = list(self._queues)
+        count = len(clients)
+        for step in range(count):
+            client = clients[(self._turn + step) % count]
+            queue = self._queues[client]
+            if queue and self._running.get(client, 0) < self.per_client:
+                self._turn = (self._turn + step + 1) % count
+                return client, queue.popleft()
+        return None
+
+    # ------------------------------------------------------------------
+    def run_units(
+        self, specs: Sequence[RunSpec], client: str = CAMPAIGN_CLIENT,
+        verbose: bool = False,
+    ) -> CampaignOutcome:
+        """Run every unit as one client; outcomes in submission order."""
         unique = dedupe_specs(specs)
         started = time.time()
-        slots: List[Optional[UnitOutcome]] = [None] * len(unique)
-        queue = deque(enumerate(unique))
-        queue_lock = threading.Lock()
-        self._done = 0
-        self._total = len(unique)
-        jobs = max(1, min(self.jobs, len(unique) or 1))
-
-        def shard(shard_id: int) -> None:
-            while True:
-                with queue_lock:
-                    if not queue:
-                        return
-                    index, spec = queue.popleft()
-                slots[index] = self._run_one(shard_id, spec)
-
-        threads = [
-            threading.Thread(
-                target=shard, args=(i,), name=f"campaign-shard-{i}",
-                daemon=True,
-            )
-            for i in range(jobs)
+        tickets = [(spec,) + self.submit(client, spec) for spec in unique]
+        if verbose:
+            for spec, future, _ in tickets:
+                future.add_done_callback(lambda _, spec=spec: print(
+                    f"  [done] {spec.describe()}", file=sys.stderr, flush=True
+                ))
+        outcomes = [
+            self._outcome(spec, future, source)
+            for spec, future, source in tickets
         ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        # Every slot is filled: the queue drained and each popped unit
-        # wrote exactly its own index.
-        outcomes = [slot for slot in slots if slot is not None]
         return CampaignOutcome(
             outcomes=outcomes,
-            jobs=jobs,
+            jobs=self.threads,
             elapsed_seconds=time.time() - started,
         )
 
-    # ------------------------------------------------------------------
-    def _run_one(self, shard_id: int, spec: RunSpec) -> UnitOutcome:
-        if self.telemetry is None:
-            return self._run_one_inner(shard_id, spec)
-        with self.telemetry.tracer.span(
-            f"unit:{spec.describe()}", cat="exp", shard=shard_id,
-        ):
-            outcome = self._run_one_inner(shard_id, spec)
-        metrics = self.telemetry.metrics
-        source = "failed" if outcome.failure is not None else outcome.source
-        metrics.counter("exp.shard.units", shard=str(shard_id)).inc()
-        metrics.counter(
-            "exp.shard.busy_seconds", shard=str(shard_id)
-        ).inc(outcome.seconds)
-        metrics.histogram(
-            "exp.unit.seconds", source=source
-        ).observe(outcome.seconds)
-        return outcome
-
-    def _run_one_inner(self, shard_id: int, spec: RunSpec) -> UnitOutcome:
-        started = time.time()
-        if self.cache is not None:
-            record = self.cache.get_spec(spec)
-            if record is not None:
-                outcome = UnitOutcome(
-                    spec, record=record, source="cache", shard=shard_id,
-                    seconds=time.time() - started,
-                )
-                self._progress(outcome)
-                return outcome
-        try:
-            record = self.executor.execute(spec)
-        except RunFailedError as err:
-            failure = err.failure or RunFailure(
-                spec, "unknown", str(err), attempts=1
-            )
-            outcome = UnitOutcome(
-                spec, failure=failure, shard=shard_id,
-                seconds=time.time() - started,
-            )
-            self._progress(outcome)
-            return outcome
-        if self.cache is not None:
-            try:
-                self.cache.put(record)
-            except (StoreError, OSError):
-                pass  # a read-only cache must not fail the unit
-        if self.store is not None:
-            with self._store_lock:
-                self.store.append(record)
+    def _outcome(self, spec, future: UnitFuture, source: str) -> UnitOutcome:
         outcome = UnitOutcome(
-            spec, record=record, shard=shard_id,
-            seconds=time.time() - started,
+            spec, source="cache" if source == "cache" else "run"
         )
-        self._progress(outcome)
+        try:
+            outcome.record = future.result()
+        except ReproError as err:
+            outcome.failure = getattr(err, "failure", None) or RunFailure(
+                spec, error_code(err), str(err), attempts=1
+            )
+        if source != "cache":
+            outcome.shard = future.dispatcher
+            outcome.seconds = future.seconds
+        if self.telemetry is not None:
+            metrics = self.telemetry.metrics
+            if outcome.shard is not None:
+                shard = str(outcome.shard)
+                metrics.counter("exp.shard.units", shard=shard).inc()
+                metrics.counter(
+                    "exp.shard.busy_seconds", shard=shard
+                ).inc(outcome.seconds)
+            metrics.histogram(
+                "exp.unit.seconds",
+                source="failed" if outcome.failure else outcome.source,
+            ).observe(outcome.seconds)
         return outcome
 
-    def _progress(self, outcome: UnitOutcome) -> None:
-        with self._progress_lock:
-            self._done += 1
-            done, total = self._done, self._total
-        if not self.verbose:
-            return
-        if outcome.failure is not None:
-            status = f"FAILED({outcome.failure.category})"
-        elif outcome.source == "cache":
-            status = "cache"
-        else:
-            status = "ok"
-        print(
-            f"  [shard {outcome.shard + 1}] {done}/{total} "
-            f"{outcome.spec.describe()} {status} {outcome.seconds:.1f}s",
-            file=self.progress_stream,
-            flush=True,
-        )
+    # ------------------------------------------------------------------
+    def drain(self, timeout: Optional[float] = None) -> bool:
+        """Wait until nothing is queued or running; False on timeout."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        with self._cond:
+            while self._active or any(self._queues.values()):
+                remaining = None
+                if deadline is not None:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        return False
+                self._cond.wait(remaining)
+        return True
+
+    def close(self, timeout: Optional[float] = None) -> None:
+        """Cancel queued units, let running ones finish, stop dispatching."""
+        with self._cond:
+            self._stopping = True
+            queued = [item for q in self._queues.values() for item in q]
+            for queue in self._queues.values():
+                queue.clear()
+            for digest, _, _ in queued:
+                self._table.pop(digest, None)
+            self._cond.notify_all()
+        for _, future, _ in queued:
+            future.cancel()
+        for thread in self._threads:
+            thread.join(timeout)
+
+    def stats(self) -> Dict[str, int]:
+        with self._cond:
+            return {
+                "pending_units": sum(map(len, self._queues.values())),
+                "active_units": self._active,
+            }
 
 
 # ----------------------------------------------------------------------
@@ -461,9 +575,6 @@ class PlanningRunner(Runner):
         self.requests.append(spec)
         return _planning_record(app_cls.name, detector, memory, races, seed)
 
-    def _persist(self, record):  # planning must never touch disk
-        pass
-
 
 def plan_exhibits(exhibits: Dict[str, object],
                   names: Sequence[str]) -> List[RunSpec]:
@@ -493,46 +604,37 @@ def prefetch_exhibits(
     runner: CampaignRunner,
     exhibits: Dict[str, object],
     names: Sequence[str],
-    jobs: int,
-    cache: Optional[ResultCache] = None,
     verbose: bool = False,
 ) -> Optional[CampaignOutcome]:
-    """Plan the campaign, execute it in parallel, warm *runner*'s cache.
+    """Plan the campaign, run it on *runner*'s scheduler, warm its memo.
 
-    The units are served by *runner*'s executor (the campaign's worker
-    pool), *jobs* at a time.  After this returns, the exhibits' own
-    ``runner.run`` calls are memory-cache hits (or immediate,
-    non-retried failures for units the prefetch exhausted retries on).
-    Returns the merged outcome, or ``None`` if nothing needed running.
+    After this returns, the exhibits' own ``runner.run`` calls are memo
+    hits (or immediate, non-retried failures for units the prefetch
+    exhausted retries on).  Returns the merged outcome, or ``None`` if
+    nothing needed running.
     """
     units = plan_exhibits(exhibits, names)
     # Units already resumed from the store need no work.
     pending = [u for u in units if u.key() not in runner._cache]
     if not pending:
         return None
+    scheduler = runner.scheduler
     if verbose:
+        cache = scheduler.cache
         print(
-            f"  [parallel] {len(pending)} unit(s) across {jobs} shard(s)"
+            f"  [parallel] {len(pending)} unit(s) across "
+            f"{scheduler.threads} dispatcher(s)"
             f"{' (cache: ' + cache.root + ')' if cache else ''}",
             file=sys.stderr,
             flush=True,
         )
-    # Store writes are strictly parent-side: the shards append under a
-    # lock and workers never see the store path at all, so no worker
-    # fault — SIGKILL mid-unit included — can tear a JSONL line.
-    store = runner._store
-    parallel = ParallelCampaignExecutor(
-        runner.executor,
-        jobs=jobs,
-        cache=cache,
-        store=store,
-        verbose=verbose,
-        telemetry=runner.telemetry,
+    outcome = scheduler.run_units(
+        pending, client=CAMPAIGN_CLIENT, verbose=verbose
     )
-    outcome = parallel.run_units(pending)
-    # The manifest's profile section reports per-shard utilization and
-    # cache hit/miss latency from the most recent parallel phase.
+    # The manifest's profile section reports per-dispatcher utilization
+    # and cache hit/miss latency from the most recent parallel phase.
     runner.last_parallel_outcome = outcome
+    store = runner._store
     for unit in outcome.outcomes:
         if unit.record is not None:
             runner._cache[unit.spec.key()] = unit.record

@@ -512,7 +512,9 @@ def _serve_unit(out, frame: dict) -> None:
     try:
         # Injected faults strike after the unit is dispatched — exactly
         # where a real mid-unit SIGKILL / hang / desync would.
-        apply_pool_fault(frame.get("fault"), out, request_id, beat_every)
+        apply_pool_fault(
+            frame.get("fault"), out, request_id, beat_every, guard_factory
+        )
         log_event("unit-start", detector=spec.detector, seed=spec.seed)
         # A fresh Runner per unit: the warm worker's Nth unit sees the
         # same state a cold subprocess would (determinism parity).

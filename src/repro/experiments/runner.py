@@ -8,6 +8,7 @@ simulated once per process.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import sys
 import time
@@ -15,6 +16,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple, Type
 
 from repro.arch.config import GPUConfig, MemoryPreset, memory_preset
 from repro.arch.detector_config import DetectorConfig, DetectorMode
+from repro.common.errors import StoreError
 from repro.scord.races import RaceType
 from repro.scor.apps.base import ScorApp, run_app
 
@@ -67,6 +69,37 @@ class RunRecord:
     @property
     def dram_total(self) -> int:
         return self.dram_data + self.dram_metadata
+
+
+# ----------------------------------------------------------------------
+# The miss step shared with the unit scheduler (experiments.parallel)
+# ----------------------------------------------------------------------
+def read_cache(cache, spec, capture: bool) -> Optional[RunRecord]:
+    """The disk cache's record for *spec*, or ``None``.
+
+    With flight capture on the cache is written but never read: a unit
+    is captured only when it simulates, so every unit of a forensics
+    run must simulate to get its capture and, if racy, its bundles.
+    """
+    if cache is None or capture:
+        return None
+    return cache.get_spec(spec)
+
+
+def file_record(record: RunRecord, cache, store) -> None:
+    """Keep one freshly executed record: cache write, then store append.
+
+    A failed cache write never fails the unit (a read-only or full cache
+    costs a later re-simulation); a failed store append does, because
+    the store is what a campaign resumes from.
+    """
+    if cache is not None:
+        try:
+            cache.put(record)
+        except (OSError, StoreError):
+            pass
+    if store is not None:
+        store.append(record)
 
 
 class Runner:
@@ -150,56 +183,59 @@ class Runner:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
+        from repro.experiments.campaign import RunSpec
 
-        # Flight capture only happens when a unit actually simulates, so
-        # with forensics on the disk cache is bypassed (memoization above
-        # still deduplicates within the campaign): every unique unit is
-        # guaranteed a capture and, if racy, a bundle.
-        if self.result_cache is not None and self.flight_config is None:
-            started = time.time()
-            hit = self.result_cache.get(
-                app_cls.name, detector, memory, races, seed
+        spec = RunSpec(app_cls.name, detector, memory, tuple(races), seed)
+        started = time.time()
+        record, source = self._answer(app_cls, spec)
+        self._cache[key] = record
+        if source == "cache":
+            self.cached_runs += 1
+            if self._store is not None:
+                # the store checkpoints every unit the campaign answered
+                self._store.append(record)
+        else:
+            self.fresh_runs += 1
+        self._observe_unit(
+            app_cls.name, detector, memory,
+            source, time.time() - started, record,
+        )
+        return record
+
+    def _answer(self, app_cls: Type[ScorApp], spec) -> Tuple[RunRecord, str]:
+        """``(record, "cache" | "run")`` for one memo miss: the unit
+        scheduler's miss step, with the simulation run in-process."""
+        hit = read_cache(
+            self.result_cache, spec, capture=self.flight_config is not None
+        )
+        if hit is not None:
+            return hit, "cache"
+        self._announce(spec)
+        span = contextlib.nullcontext()
+        if self.telemetry is not None:
+            span = self.telemetry.tracer.span(
+                f"unit:{spec.app}/{spec.detector}/{spec.memory}",
+                cat="exp",
+                races=sorted(spec.races),
+                seed=spec.seed,
             )
-            if hit is not None:
-                self.cached_runs += 1
-                self._cache[key] = hit
-                self._persist(hit)
-                self._observe_unit(
-                    app_cls.name, detector, memory,
-                    "cache", time.time() - started, hit,
-                )
-                return hit
+        with span:
+            record = self._simulate(
+                app_cls, spec.detector, spec.memory, spec.races, spec.seed
+            )
+        file_record(record, self.result_cache, self._store)
+        return record, "run"
 
+    def _announce(self, spec) -> None:
         if self.verbose:
-            flags = f" races={sorted(races)}" if races else ""
-            tag = f" seed={seed}" if seed != 1 else ""
+            flags = f" races={sorted(spec.races)}" if spec.races else ""
+            tag = f" seed={spec.seed}" if spec.seed != 1 else ""
             print(
-                f"  [run] {app_cls.name} detector={detector} "
-                f"memory={memory}{flags}{tag}",
+                f"  [run] {spec.app} detector={spec.detector} "
+                f"memory={spec.memory}{flags}{tag}",
                 file=sys.stderr,
                 flush=True,
             )
-        started = time.time()
-        if self.telemetry is not None:
-            with self.telemetry.tracer.span(
-                f"unit:{app_cls.name}/{detector}/{memory}",
-                cat="exp",
-                races=sorted(races),
-                seed=seed,
-            ):
-                record = self._simulate(app_cls, detector, memory, races, seed)
-        else:
-            record = self._simulate(app_cls, detector, memory, races, seed)
-        self.fresh_runs += 1
-        self._cache[key] = record
-        self._persist(record)
-        if self.result_cache is not None:
-            self.result_cache.put(record)
-        self._observe_unit(
-            app_cls.name, detector, memory,
-            "run", time.time() - started, record,
-        )
-        return record
 
     def _observe_unit(
         self, app: str, detector: str, memory: str,
@@ -370,11 +406,6 @@ class Runner:
             "units_by_race_type": dict(sorted(by_type.items())),
             "units": units,
         }
-
-    def _persist(self, record: RunRecord) -> None:
-        """Durably checkpoint one fresh record (no-op without a store)."""
-        if self._store is not None:
-            self._store.append(record)
 
     def runs_done(self) -> int:
         return len(self._cache)

@@ -9,15 +9,17 @@ offline campaign machinery into a multi-tenant front door:
 - scolint runs as a synchronous preflight — statically-racy program
   submissions are rejected at the door with the rule verdict (HTTP 422)
   unless the client explicitly opts in to running them anyway;
-- accepted units are batched into shards and drained by dispatcher
-  threads feeding ONE shared :class:`~repro.experiments.supervisor.PoolSupervisor`
-  (the PR 4 warm-worker pool), so the simulation backend stays saturated
+- accepted units queue on the campaigns' own
+  :class:`~repro.experiments.parallel.UnitScheduler`, whose dispatcher
+  threads feed ONE shared :class:`~repro.experiments.supervisor.PoolSupervisor`
+  (the warm-worker pool), so the simulation backend stays saturated
   under concurrent clients instead of re-spawning per request;
-- the PR 2 content-addressed :class:`~repro.experiments.parallel.ResultCache`
+- the content-addressed :class:`~repro.experiments.parallel.ResultCache`
   is the shared store — identical submissions from different clients are
   cache hits, and concurrent identical units coalesce onto one execution;
 - multi-tenancy comes from per-client token-bucket quotas (HTTP 429)
-  and fair round-robin scheduling across clients' shard queues;
+  and fair round-robin scheduling, one unit at a time, across clients'
+  queues;
 - every request gets a trace span and ``service.*`` metrics on the
   shared PR 3/PR 8 telemetry bundle, exported at ``GET /metrics`` in
   Prometheus text format.
@@ -34,8 +36,8 @@ Endpoints (see ``docs/service.md`` for schemas and worked examples)::
 The package splits along the collector -> detector -> alerter seam:
 :mod:`repro.service.schemas` (wire formats + validation),
 :mod:`repro.service.quota` (token buckets),
-:mod:`repro.service.jobs` (job manager: preflight, fair scheduler,
-coalescing, dispatchers), :mod:`repro.service.daemon` (the HTTP layer
+:mod:`repro.service.jobs` (job manager: preflight, jobs, reports,
+drain), :mod:`repro.service.daemon` (the HTTP layer
 and drain choreography), and :mod:`repro.service.cli` (``scord-experiments
 serve``).
 """

@@ -36,11 +36,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--dispatchers", type=int, default=2, metavar="N",
-        help="shard queues drained concurrently (default 2)",
-    )
-    parser.add_argument(
-        "--shard-size", type=int, default=8, metavar="N",
-        help="units batched per campaign shard (default 8)",
+        help="scheduler threads: units run at once, one per client "
+        "(default 2)",
     )
     parser.add_argument(
         "--store", metavar="PATH",
@@ -90,8 +87,6 @@ def serve_main(argv: Optional[list] = None) -> int:
         parser.error("--jobs must be >= 1")
     if args.dispatchers < 1:
         parser.error("--dispatchers must be >= 1")
-    if args.shard_size < 1:
-        parser.error("--shard-size must be >= 1")
     if args.quota_units <= 0:
         parser.error("--quota-units must be > 0")
     if args.quota_refill < 0:
@@ -102,7 +97,6 @@ def serve_main(argv: Optional[list] = None) -> int:
         port=args.port,
         workers=args.jobs,
         dispatchers=args.dispatchers,
-        shard_size=args.shard_size,
         store_path=args.store,
         cache_dir=args.cache_dir,
         quota_units=args.quota_units,

@@ -297,7 +297,7 @@ class ServiceDaemon:
         return drained
 
     def close(self) -> None:
-        """Hard stop (tests): no waiting beyond in-flight shards."""
+        """Hard stop (tests): cancel queued units, let running ones end."""
         self.manager.close()
         self._server.shutdown()
         self._server.server_close()

@@ -1,42 +1,29 @@
-"""The scord-serve job manager: admission, scheduling, execution.
-
-One :class:`JobManager` owns the daemon's entire backend:
+"""The scord-serve job manager: admission, jobs, reports, drain.
 
 - **Admission** (:meth:`JobManager.submit`): parse + validate the body
   (:mod:`repro.service.schemas`), run the scolint preflight on program
   submissions (statically-racy programs are refused with the rule
-  verdict unless ``on_static_race: "accept"``), charge the client's
-  token bucket one token per simulation unit (all-or-nothing, 429 on
-  insufficient tokens), then batch the units into shards on the
-  client's queue.
-- **Fair scheduling**: dispatcher threads drain shards round-robin
-  *across clients*, so one client's 4 000-unit campaign cannot starve
-  another's 6-unit smoke test; within a client, shards run in FIFO
-  order.
-- **Execution**: campaign units go through the shared
-  :class:`~repro.experiments.supervisor.PoolSupervisor` — exactly the
-  executor the offline CLI uses, so service records are identical to
-  offline records.  The content-addressed
-  :class:`~repro.experiments.parallel.ResultCache` is consulted first,
-  and concurrent identical units *coalesce*: the first arrival
-  executes, everyone else waits on its result.  Program units run the
-  fuzzer's dynamic oracle (one schedule-jitter seed per unit) with an
-  in-memory content-addressed cache keyed the same way
-  (:func:`repro.fuzz.program.fuzz_unit_digest`).
-- **Durability**: fresh records append to the campaign
-  :class:`~repro.experiments.store.RunStore` (fsync'd JSONL) and the
-  result cache, parent-side, under one lock — the same discipline as
-  the parallel campaign executor.
+  verdict unless ``on_static_race: "accept"``), and charge the client's
+  token bucket one token per unit (all-or-nothing, 429 otherwise).
+- **Scheduling and execution** belong to the campaigns'
+  :class:`~repro.experiments.parallel.UnitScheduler`: each unit is
+  submitted under its client, so fairness, coalescing, the memo, the
+  :class:`~repro.experiments.parallel.ResultCache` and the
+  :class:`~repro.experiments.store.RunStore` behave exactly as offline,
+  and service records are identical to offline records.  Program units
+  run the fuzzer's dynamic oracle in the daemon (one schedule-jitter
+  seed per unit), memoized under
+  :func:`repro.fuzz.program.fuzz_unit_digest`.
 """
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import threading
 import time
 import uuid
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from concurrent.futures import CancelledError
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import RunFailedError
 from repro.service.quota import QuotaManager
@@ -56,10 +43,9 @@ class ServiceConfig:
     port: int = 8787
     #: persistent warm workers behind the shared PoolSupervisor
     workers: int = 2
-    #: shard queues drained concurrently (parallelism across shards)
+    #: unit-scheduler dispatcher threads: units running at once, one
+    #: per client
     dispatchers: int = 2
-    #: units per shard — the request-batching grain
-    shard_size: int = 8
     #: durable JSONL run store (None = memory only)
     store_path: Optional[str] = None
     #: content-addressed result cache root (None = no cross-restart cache)
@@ -72,16 +58,6 @@ class ServiceConfig:
     #: write per-unit forensics bundles under this directory
     forensics_dir: Optional[str] = None
     verbose: bool = False
-
-
-class _Inflight:
-    """Coalescing slot: first arrival executes, the rest wait."""
-
-    def __init__(self):
-        self.event = threading.Event()
-        self.record = None
-        self.verdict = None
-        self.failure = None
 
 
 @dataclasses.dataclass
@@ -133,7 +109,7 @@ class Job:
 
 
 class JobManager:
-    """Admission control, fair scheduling, and unit execution."""
+    """Admission control, job bookkeeping, reports, and drain."""
 
     def __init__(
         self,
@@ -141,10 +117,10 @@ class JobManager:
         telemetry=None,
         quota_clock=time.monotonic,
     ):
-        from repro.experiments.parallel import ResultCache
+        from repro.experiments.parallel import ResultCache, UnitScheduler
         from repro.experiments.store import RunStore
         from repro.experiments.supervisor import PoolConfig, PoolSupervisor
-        from repro.telemetry import Telemetry
+        from repro.telemetry import FlightConfig, Telemetry
 
         self.config = config or ServiceConfig()
         self.telemetry = telemetry or Telemetry.disabled()
@@ -172,26 +148,28 @@ class JobManager:
             config=pool_config,
             telemetry=self.telemetry,
             verbose=self.config.verbose,
+            flight=FlightConfig() if self.config.forensics_dir else None,
             forensics_dir=self.config.forensics_dir,
         )
-        # -- shared state (all guarded by _lock / signalled on _cond) --
+        # One running unit per client: parallelism comes from serving
+        # several clients at once, so no client holds every worker and
+        # the daemon keeps CPU for admission and cache-hit jobs (two
+        # units of one job at once doubled perfbench serve's median on
+        # a 2-CPU host).
+        self.scheduler = UnitScheduler(
+            self.supervisor,
+            threads=max(1, self.config.dispatchers),
+            cache=self.cache,
+            store=self.store,
+            per_client=1,
+        )
+        # -- job state (guarded by _lock / signalled on _cond) ---------
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._jobs: Dict[str, Job] = {}
-        self._shards: Dict[str, Deque[List[Tuple[Job, int]]]] = {}
-        self._client_order: List[str] = []
-        self._rr_index = 0
-        self._pending_shards = 0
-        self._active_units = 0
+        self._clients: set = set()
         self._draining = False
         self._stopping = False
-        #: coalescing registry: unit digest -> in-flight execution
-        self._inflight: Dict[str, _Inflight] = {}
-        #: in-memory record cache (memoizes within one daemon lifetime,
-        #: and fronts the on-disk ResultCache when one is configured)
-        self._record_cache: Dict[str, object] = {}
-        self._verdict_cache: Dict[str, dict] = {}
-        self._store_lock = threading.Lock()
         # -- service.* metrics (created eagerly: stable exposition) ----
         metrics = self.telemetry.metrics
         self._m_submitted = metrics.counter("service.jobs.submitted")
@@ -212,23 +190,12 @@ class JobManager:
         self._g_inflight = metrics.gauge("service.jobs.inflight")
         self._g_clients = metrics.gauge("service.clients")
         self._h_unit = metrics.histogram("service.unit.seconds")
-        # -- dispatchers ----------------------------------------------
-        self._threads = [
-            threading.Thread(
-                target=self._dispatch_loop,
-                name=f"scord-serve-dispatch-{i}",
-                daemon=True,
-            )
-            for i in range(max(1, self.config.dispatchers))
-        ]
-        for thread in self._threads:
-            thread.start()
 
     # ------------------------------------------------------------------
     # Admission
     # ------------------------------------------------------------------
     def submit(self, client: str, payload) -> Job:
-        """Validate, preflight, charge quota, and enqueue one job."""
+        """Validate, preflight, charge quota, and submit one job."""
         if self._draining or self._stopping:
             raise ServiceError(
                 "draining",
@@ -260,30 +227,21 @@ class JobManager:
         )
         if parsed["kind"] == "campaign":
             job.specs = parsed["specs"]
-            job.results = [None] * units
         else:
             job.program = parsed["program"]
             job.seeds = parsed["seeds"]
             job.detector = parsed["detector"]
             job.static = static
-            job.results = [None] * units
-        shards = _shard(
-            [(job, i) for i in range(units)], self.config.shard_size
-        )
+        job.results = [None] * units
         with self._cond:
             self._jobs[job.id] = job
-            queue = self._shards.get(client)
-            if queue is None:
-                queue = collections.deque()
-                self._shards[client] = queue
-                self._client_order.append(client)
-                self._g_clients.set(len(self._client_order))
-            queue.extend(shards)
-            self._pending_shards += len(shards)
+            self._clients.add(client)
+            self._g_clients.set(len(self._clients))
             self._g_inflight.inc()
-            self._cond.notify_all()
         self._m_submitted.inc()
         self._m_units.inc(units)
+        for index in range(units):
+            self._submit_unit(job, index)
         return job
 
     def _preflight(self, parsed: dict) -> dict:
@@ -375,75 +333,101 @@ class JobManager:
             yield dict(result)
 
     # ------------------------------------------------------------------
-    # Fair round-robin dispatch
+    # Units
     # ------------------------------------------------------------------
-    def _next_shard(self) -> Optional[List[Tuple[Job, int]]]:
-        """Pop the next shard, rotating fairly across clients."""
-        order = self._client_order
-        if not order:
-            return None
-        for step in range(len(order)):
-            client = order[(self._rr_index + step) % len(order)]
-            queue = self._shards.get(client)
-            if queue:
-                self._rr_index = (self._rr_index + step + 1) % len(order)
-                self._pending_shards -= 1
-                return queue.popleft()
-        return None
+    def _submit_unit(self, job: Job, index: int) -> None:
+        """Hand one unit to the scheduler; record it when answered."""
+        submitted = time.monotonic()
+        spec = job.specs[index] if job.kind == "campaign" else None
+        digest = _unit_digest(job, index)
+        future, source = self.scheduler.submit(
+            job.client, spec, digest, run=lambda: self._run_unit(job, index)
+        )
+        future.add_done_callback(
+            lambda done: self._record(job, index, digest, source, done,
+                                      submitted)
+        )
 
-    def _dispatch_loop(self) -> None:
-        while True:
-            with self._cond:
-                shard = self._next_shard()
-                while shard is None and not self._stopping:
-                    self._cond.wait(timeout=0.5)
-                    shard = self._next_shard()
-                if shard is None:
-                    return
-                self._active_units += len(shard)
-                for job, _ in shard:
-                    if job.state == "queued":
-                        job.state = "running"
-            try:
-                for job, index in shard:
-                    self._run_unit(job, index)
-            finally:
-                with self._cond:
-                    self._active_units -= len(shard)
-                    self._cond.notify_all()
+    def _run_unit(self, job: Job, index: int):
+        """Execute unit *index* of *job* on a dispatcher thread.
 
-    # ------------------------------------------------------------------
-    # Unit execution
-    # ------------------------------------------------------------------
-    def _run_unit(self, job: Job, index: int) -> None:
-        started = time.monotonic()
-        try:
+        Runs only when neither the memo table, the cache, nor an
+        identical queued or running unit answers it; returns the
+        record (campaign) or verdict (program).
+        """
+        with self._cond:
+            if job.state == "queued":
+                job.state = "running"
+        label = _unit_label(job, index)
+        with self.telemetry.tracer.span(
+            "service.unit", cat="service", unit=label, client=job.client
+        ), self.telemetry.profiler.phase("service.unit"):
             if job.kind == "campaign":
-                result = self._run_campaign_unit(job, job.specs[index])
-            else:
-                result = self._run_program_unit(job, job.seeds[index])
-        except Exception as err:  # never kill a dispatcher thread
-            result = {
-                "unit": f"{job.id}[{index}]",
-                "kind": job.kind,
-                "source": "error",
-                "failure": {
-                    "category": "internal",
-                    "message": f"{type(err).__name__}: {err}",
-                },
+                return self.scheduler.execute(job.specs[index])
+            from repro.fuzz.oracles import dynamic_verdict
+
+            return dynamic_verdict(
+                job.program, seeds=(job.seeds[index],),
+                detector=job.detector,
+            )
+
+    def _record(
+        self, job: Job, index: int, digest: str, source: str, future,
+        submitted: float,
+    ) -> None:
+        """Fold one answered unit into its job (any thread)."""
+        from repro.experiments.store import record_to_dict
+
+        result = {"unit": _unit_label(job, index), "kind": job.kind}
+        if job.kind == "campaign":
+            result["spec"] = job.specs[index].to_dict()
+        else:
+            result["seed"] = job.seeds[index]
+            result["detector"] = job.detector
+        result.update(digest=digest, failure=None, source=source)
+        try:
+            value = future.result()
+        except CancelledError:
+            result["failure"] = {
+                "category": "internal",
+                "message": "the daemon stopped before the unit ran",
             }
-        result["seconds"] = round(time.monotonic() - started, 6)
+        except RunFailedError as err:
+            failure = getattr(err, "failure", None)
+            result["failure"] = (
+                failure.to_dict()
+                if failure is not None
+                else {"category": err.code, "message": str(err)}
+            )
+        except Exception as err:
+            result["failure"] = {
+                "category": (
+                    "internal" if job.kind == "campaign" else "simulation"
+                ),
+                "message": f"{type(err).__name__}: {err}",
+            }
+        else:
+            if job.kind == "campaign":
+                result["record"] = record_to_dict(value)
+            else:
+                result["verdict"] = dict(value)
+        result["seconds"] = round(time.monotonic() - submitted, 6)
         self._h_unit.observe(result["seconds"])
         with self._cond:
             job.results[index] = result
             job.units_done += 1
-            if result.get("failure"):
+            if result["failure"]:
                 job.failed += 1
                 self._m_unit_failed.inc()
-            elif result["source"] in ("cache", "coalesced"):
+            elif source == "cache":
                 job.cache_hits += 1
+                self._m_cache_hits.inc()
+            elif source == "coalesced":
+                job.cache_hits += 1
+                self._m_coalesced.inc()
             else:
                 job.executed += 1
+                self._m_executed.inc()
             if job.units_done == job.units_total:
                 job.state = "failed" if job.failed else "done"
                 job.finished = time.time()
@@ -452,151 +436,9 @@ class JobManager:
                     self._m_job_failed.inc()
                 else:
                     self._m_completed.inc()
+            elif job.state == "queued":
+                job.state = "running"
             self._cond.notify_all()
-
-    def _run_campaign_unit(self, job: Job, spec) -> dict:
-        from repro.experiments.store import record_to_dict, unit_digest
-
-        digest = unit_digest(
-            spec.app, spec.detector, spec.memory, spec.races, spec.seed
-        )
-        label = spec.describe()
-        base = {
-            "unit": label,
-            "kind": "campaign",
-            "spec": spec.to_dict(),
-            "digest": digest,
-            "failure": None,
-        }
-        record, source = self._cached_record(spec, digest)
-        if record is not None:
-            self._m_cache_hits.inc()
-            return dict(base, source=source, record=record_to_dict(record))
-        slot, owner = self._claim(digest)
-        if not owner:
-            slot.event.wait()
-            if slot.failure is not None:
-                return dict(base, source="coalesced", failure=slot.failure)
-            self._m_coalesced.inc()
-            return dict(
-                base,
-                source="coalesced",
-                record=record_to_dict(slot.record),
-            )
-        try:
-            with self.telemetry.tracer.span(
-                "service.unit", cat="service", unit=label, client=job.client
-            ), self.telemetry.profiler.phase("service.unit"):
-                record = self.supervisor.execute(spec)
-        except RunFailedError as err:
-            failure = getattr(err, "failure", None)
-            slot.failure = (
-                failure.to_dict()
-                if failure is not None
-                else {"category": err.code, "message": str(err)}
-            )
-            return dict(base, source="executed", failure=slot.failure)
-        except Exception as err:
-            slot.failure = {
-                "category": "internal",
-                "message": f"{type(err).__name__}: {err}",
-            }
-            return dict(base, source="executed", failure=slot.failure)
-        else:
-            self._persist(digest, record)
-            slot.record = record
-            self._m_executed.inc()
-            return dict(base, source="executed", record=record_to_dict(record))
-        finally:
-            slot.event.set()
-            with self._lock:
-                self._inflight.pop(digest, None)
-
-    def _run_program_unit(self, job: Job, seed: int) -> dict:
-        from repro.fuzz.oracles import dynamic_verdict
-        from repro.fuzz.program import fuzz_unit_digest, program_digest
-
-        digest = fuzz_unit_digest(job.program, job.detector, seed)
-        label = f"program:{program_digest(job.program)[:12]}.s{seed}"
-        base = {
-            "unit": label,
-            "kind": "program",
-            "seed": seed,
-            "detector": job.detector,
-            "digest": digest,
-            "failure": None,
-        }
-        with self._lock:
-            verdict = self._verdict_cache.get(digest)
-        if verdict is not None:
-            self._m_cache_hits.inc()
-            return dict(base, source="cache", verdict=dict(verdict))
-        slot, owner = self._claim(digest)
-        if not owner:
-            slot.event.wait()
-            if slot.failure is not None:
-                return dict(base, source="coalesced", failure=slot.failure)
-            self._m_coalesced.inc()
-            return dict(
-                base, source="coalesced", verdict=dict(slot.verdict)
-            )
-        try:
-            with self.telemetry.tracer.span(
-                "service.unit", cat="service", unit=label, client=job.client
-            ), self.telemetry.profiler.phase("service.unit"):
-                verdict = dynamic_verdict(
-                    job.program, seeds=(seed,), detector=job.detector
-                )
-        except Exception as err:
-            slot.failure = {
-                "category": "simulation",
-                "message": f"{type(err).__name__}: {err}",
-            }
-            return dict(base, source="executed", failure=slot.failure)
-        else:
-            with self._lock:
-                self._verdict_cache[digest] = verdict
-            slot.verdict = verdict
-            self._m_executed.inc()
-            return dict(base, source="executed", verdict=dict(verdict))
-        finally:
-            slot.event.set()
-            with self._lock:
-                self._inflight.pop(digest, None)
-
-    def _claim(self, digest: str) -> Tuple[_Inflight, bool]:
-        """Register as the executor for *digest*, or join the wait."""
-        with self._lock:
-            slot = self._inflight.get(digest)
-            if slot is not None:
-                return slot, False
-            slot = _Inflight()
-            self._inflight[digest] = slot
-            return slot, True
-
-    def _cached_record(self, spec, digest: str):
-        """(record, source) from memory or disk cache; (None, None) miss."""
-        with self._lock:
-            record = self._record_cache.get(digest)
-        if record is not None:
-            return record, "cache"
-        if self.cache is not None:
-            record = self.cache.get_spec(spec)
-            if record is not None:
-                with self._lock:
-                    self._record_cache[digest] = record
-                return record, "cache"
-        return None, None
-
-    def _persist(self, digest: str, record) -> None:
-        """Durably record one fresh result (store + caches)."""
-        with self._store_lock:
-            if self.store is not None:
-                self.store.append(record)
-            if self.cache is not None:
-                self.cache.put(record)
-        with self._lock:
-            self._record_cache[digest] = record
 
     # ------------------------------------------------------------------
     # Drain / shutdown
@@ -606,53 +448,38 @@ class JobManager:
         return self._draining
 
     def drain(self, timeout: Optional[float] = None) -> bool:
-        """Refuse new jobs, let in-flight work finish, then shut down.
+        """Refuse new jobs, let queued and running units finish, shut down.
 
         Returns True when every accepted job reached a terminal state
         within *timeout* seconds (None = wait indefinitely).
         """
-        deadline = (
-            None if timeout is None else time.monotonic() + timeout
-        )
-        with self._cond:
-            self._draining = True
-            while self._pending_shards or self._active_units:
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                self._cond.wait(timeout=remaining)
-            drained = not (self._pending_shards or self._active_units)
+        self._draining = True
+        drained = self.scheduler.drain(timeout)
         self.close()
         return drained
 
     def close(self) -> None:
-        """Stop dispatchers and the worker pool (idempotent)."""
+        """Stop the scheduler and the worker pool (idempotent)."""
         with self._cond:
             if self._stopping:
                 return
             self._draining = True
             self._stopping = True
             self._cond.notify_all()
-        for thread in self._threads:
-            thread.join(timeout=10)
+        self.scheduler.close(timeout=10)
         self.supervisor.close()
 
     def stats(self) -> dict:
         """Live operational snapshot (rendered by /healthz)."""
         with self._lock:
             jobs = list(self._jobs.values())
-            pending = self._pending_shards
-            active = self._active_units
         states: Dict[str, int] = {}
         for job in jobs:
             states[job.state] = states.get(job.state, 0) + 1
         return {
             "jobs": len(jobs),
             "states": states,
-            "pending_shards": pending,
-            "active_units": active,
+            **self.scheduler.stats(),
             "draining": self._draining,
             "quota": self.quotas.snapshot(),
             "pool": self.supervisor.stats(),
@@ -660,12 +487,25 @@ class JobManager:
         }
 
 
-def _shard(units: Sequence, size: int) -> List[List]:
-    size = max(1, size)
-    return [
-        list(units[start:start + size])
-        for start in range(0, len(units), size)
-    ]
+def _unit_digest(job: Job, index: int) -> str:
+    if job.kind == "campaign":
+        from repro.experiments.store import unit_digest
+
+        spec = job.specs[index]
+        return unit_digest(
+            spec.app, spec.detector, spec.memory, spec.races, spec.seed
+        )
+    from repro.fuzz.program import fuzz_unit_digest
+
+    return fuzz_unit_digest(job.program, job.detector, job.seeds[index])
+
+
+def _unit_label(job: Job, index: int) -> str:
+    if job.kind == "campaign":
+        return job.specs[index].describe()
+    from repro.fuzz.program import program_digest
+
+    return f"program:{program_digest(job.program)[:12]}.s{job.seeds[index]}"
 
 
 def _union_verdict(units: List[Optional[dict]]) -> dict:

@@ -122,15 +122,19 @@ class PhaseProfiler:
 def shard_utilization(
     outcomes, elapsed_seconds: float
 ) -> Dict[str, dict]:
-    """Per-shard busy-time profile of a parallel campaign.
+    """Per-dispatcher busy-time profile of a parallel campaign.
 
-    *outcomes* is an iterable with ``shard`` and ``seconds`` attributes
-    (:class:`repro.experiments.parallel.UnitOutcome`).  Utilization is
-    busy seconds over campaign wall seconds — a shard at 0.10 spent 90%
-    of the campaign idle (work starvation or one long unit elsewhere).
+    *outcomes* is an iterable with ``shard`` (the dispatcher index) and
+    ``seconds`` attributes (:class:`repro.experiments.parallel.UnitOutcome`);
+    units answered at submission (``shard`` None) ran on no dispatcher
+    and are skipped.  Utilization is busy seconds over campaign wall
+    seconds — a dispatcher at 0.10 spent 90% of the campaign idle (work
+    starvation or one long unit elsewhere).
     """
     shards: Dict[int, dict] = {}
     for outcome in outcomes:
+        if outcome.shard is None:
+            continue
         entry = shards.setdefault(
             outcome.shard, {"units": 0, "busy_seconds": 0.0}
         )

@@ -13,8 +13,8 @@ import os
 
 import pytest
 
-from repro.experiments.campaign import RunSpec
-from repro.experiments.parallel import ResultCache
+from repro.experiments.campaign import CampaignRunner, RunSpec
+from repro.experiments.parallel import ResultCache, prefetch_exhibits
 from repro.experiments.runner import Runner
 from repro.experiments.supervisor import PoolConfig, PoolSupervisor
 from repro.scor.apps.registry import app_by_name
@@ -109,6 +109,31 @@ def test_disk_cache_is_bypassed_under_flight(tmp_path):
     capturing.run(app_by_name("RED"), detector="none")
     assert capturing.fresh_runs == 1
     assert capturing.cached_runs == 0
+
+
+def test_pool_prefetch_bypasses_the_disk_cache_under_flight(tmp_path):
+    """``--jobs N`` applies the same rule: on a warm cache every unit
+    still simulates under forensics, so every unit is captured."""
+    cache = ResultCache(tmp_path / "cache")
+    Runner(verbose=False, result_cache=cache).run(
+        app_by_name("RED"), detector="none"
+    )
+    flight = FlightConfig()
+    exhibit = {"red": lambda runner: runner.run(
+        app_by_name("RED"), detector="none"
+    )}
+    config = PoolConfig(workers=1, unit_timeout=120)
+    with PoolSupervisor(config, flight=flight) as sup:
+        runner = CampaignRunner(
+            sup, verbose=False, flight=flight, result_cache=cache
+        )
+        try:
+            outcome = prefetch_exhibits(runner, exhibit, ["red"])
+        finally:
+            runner.scheduler.close()
+    assert [unit.source for unit in outcome.outcomes] == ["run"]
+    assert (runner.fresh_runs, runner.cached_runs) == (1, 0)
+    assert runner.forensics_section()["units_captured"] == 1
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,10 @@
-"""The parallel campaign executor and the content-addressed result cache.
+"""The unit scheduler and the content-addressed result cache.
 
 The load-bearing properties:
 
-* **deterministic merge** — any jobs count produces the identical
-  outcome sequence (hypothesis drives random unit lists, shard counts,
-  and completion-order scrambles through a fake executor);
+* **deterministic merge** — any dispatcher count produces the identical
+  outcome sequence (hypothesis drives random unit lists, dispatcher
+  counts, and completion-order scrambles through a fake executor);
 * **cache correctness** — hits return semantically identical records,
   corruption demotes to a miss, schema/config changes change the key;
 * **isolation reuse** — the real end-to-end path (pool worker
@@ -24,14 +24,15 @@ from repro.common.errors import RunFailedError
 from repro.experiments.campaign import RunFailure, RunSpec
 from repro.experiments.parallel import (
     CampaignOutcome,
-    ParallelCampaignExecutor,
     PlanningRunner,
     ResultCache,
+    UnitScheduler,
     dedupe_specs,
     plan_exhibits,
 )
 from repro.experiments.runner import RunRecord, Runner
 from repro.experiments.store import (
+    RunStore,
     run_key,
     semantic_record_dict,
     unit_digest,
@@ -63,8 +64,8 @@ def synthetic_record(spec: RunSpec, wall: float = 0.0) -> RunRecord:
 class FakeExecutor:
     """Scripted stand-in for the worker pool: no subprocesses.
 
-    Sleeps a per-spec delay (scrambling completion order across shards)
-    and fails specs whose app is listed in *failing*.
+    Sleeps a per-spec delay (scrambling completion order across
+    dispatchers) and fails specs whose app is listed in *failing*.
     """
 
     def __init__(self, delays=None, failing=()):
@@ -95,6 +96,12 @@ SPEC_POOL = st.builds(
 )
 
 
+def run_units(executor, jobs, specs, **kwargs) -> CampaignOutcome:
+    """One campaign on a fresh *jobs*-dispatcher scheduler."""
+    with UnitScheduler(executor, threads=jobs, **kwargs) as scheduler:
+        return scheduler.run_units(specs)
+
+
 def merged_semantics(outcome: CampaignOutcome):
     """The observable result: per-slot (spec, semantic record | failure)."""
     merged = []
@@ -122,20 +129,14 @@ class TestDeterministicMerge:
             for i, spec in enumerate(unique)
         }
         failing = ("MM",) if delay_seed % 3 == 0 else ()
-        serial = ParallelCampaignExecutor(
-            FakeExecutor(delays, failing), jobs=1
-        ).run_units(specs)
-        parallel = ParallelCampaignExecutor(
-            FakeExecutor(delays, failing), jobs=jobs
-        ).run_units(specs)
+        serial = run_units(FakeExecutor(delays, failing), 1, specs)
+        parallel = run_units(FakeExecutor(delays, failing), jobs, specs)
         assert merged_semantics(serial) == merged_semantics(parallel)
         assert serial.jobs == 1 and parallel.jobs >= 2 or len(unique) == 1
 
     def test_failures_occupy_their_slot(self):
         specs = [RunSpec("RED"), RunSpec("MM"), RunSpec("UTS")]
-        outcome = ParallelCampaignExecutor(
-            FakeExecutor(failing=("MM",)), jobs=3
-        ).run_units(specs)
+        outcome = run_units(FakeExecutor(failing=("MM",)), 3, specs)
         assert [u.spec.app for u in outcome.outcomes] == ["RED", "MM", "UTS"]
         assert outcome.outcomes[1].failure is not None
         assert outcome.outcomes[0].ok and outcome.outcomes[2].ok
@@ -144,18 +145,60 @@ class TestDeterministicMerge:
     def test_duplicate_units_collapse(self):
         fake = FakeExecutor()
         specs = [RunSpec("RED"), RunSpec("RED"), RunSpec("RED", seed=2)]
-        outcome = ParallelCampaignExecutor(fake, jobs=2).run_units(specs)
+        outcome = run_units(fake, 2, specs)
         assert len(outcome.outcomes) == 2
         assert len(fake.calls) == 2
 
     def test_work_stealing_uses_every_shard(self):
-        """With uniform work and delays, all shards pull from the queue."""
+        """With uniform work and delays, every dispatcher pulls units."""
         specs = [RunSpec("RED", seed=s) for s in range(1, 9)]
         delays = {spec.key(): 0.01 for spec in specs}
-        outcome = ParallelCampaignExecutor(
-            FakeExecutor(delays), jobs=4
-        ).run_units(specs)
+        outcome = run_units(FakeExecutor(delays), 4, specs)
         assert {u.shard for u in outcome.outcomes} == {0, 1, 2, 3}
+
+
+class TestSchedulerStress:
+    def test_concurrent_clients_run_each_unit_once(self):
+        """Six clients submit overlapping units to eight dispatchers at
+        once: every unit runs exactly once and every answer is its own."""
+        import random
+        import sys
+
+        specs = [RunSpec("RED", seed=seed) for seed in range(1, 41)]
+        fake = FakeExecutor({spec.key(): 0.001 for spec in specs})
+        answers = [[] for _ in range(6)]
+
+        def client(index, scheduler):
+            order = random.Random(index).sample(specs, len(specs))
+            for spec in order:
+                future, _ = scheduler.submit(f"client-{index}", spec)
+                answers[index].append((spec, future))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with UnitScheduler(fake, threads=8) as scheduler:
+                threads = [
+                    threading.Thread(target=client, args=(i, scheduler))
+                    for i in range(len(answers))
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                assert scheduler.drain(timeout=60)
+                assert scheduler.stats() == {
+                    "pending_units": 0, "active_units": 0,
+                }
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(s.key() for s in fake.calls) == sorted(
+            s.key() for s in specs
+        )
+        for spec, future in (pair for client in answers for pair in client):
+            assert semantic_record_dict(future.result(timeout=60)) == \
+                semantic_record_dict(synthetic_record(spec))
 
 
 class TestResultCache:
@@ -207,13 +250,32 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         fake = FakeExecutor()
         specs = [RunSpec("RED"), RunSpec("RED", seed=2)]
-        pex = ParallelCampaignExecutor(fake, jobs=2, cache=cache)
-        cold = pex.run_units(specs)
-        warm = pex.run_units(specs)
+        cold = run_units(fake, 2, specs, cache=cache)
+        warm = run_units(fake, 2, specs, cache=cache)
         assert cold.cache_hits == 0 and cold.executed == 2
         assert warm.cache_hits == 2 and warm.executed == 0
         assert len(fake.calls) == 2  # nothing re-executed
         assert merged_semantics(cold) == merged_semantics(warm)
+
+    def test_a_failed_cache_write_does_not_fail_the_unit(
+        self, tmp_path, monkeypatch
+    ):
+        """A read-only cache costs re-simulation, never a unit: in
+        process (``--jobs 0``) and on the scheduler alike."""
+        def read_only(self, record):
+            raise OSError(30, "Read-only file system")
+
+        monkeypatch.setattr(ResultCache, "put", read_only)
+        cache = ResultCache(tmp_path / "cache")
+        store = RunStore(tmp_path / "store.jsonl")
+        runner = Runner(verbose=False, result_cache=cache, store=store)
+        runner.run(ReductionApp, detector="none")
+        assert runner.fresh_runs == 1
+        outcome = run_units(
+            FakeExecutor(), 2, [RunSpec("RED")], cache=cache, store=store
+        )
+        assert outcome.failures == [] and outcome.executed == 1
+        assert len(store.load()) == 2
 
     def test_runner_consults_the_cache(self, tmp_path):
         """The serial in-process Runner path also reads/writes the cache."""
@@ -315,9 +377,7 @@ class TestEndToEnd:
         def run_on_pool(jobs):
             config = PoolConfig(workers=jobs, unit_timeout=300)
             with PoolSupervisor(config) as sup:
-                return ParallelCampaignExecutor(sup, jobs=jobs).run_units(
-                    specs
-                )
+                return run_units(sup, jobs, specs)
 
         serial, parallel = run_on_pool(1), run_on_pool(2)
         assert merged_semantics(serial) == merged_semantics(parallel)

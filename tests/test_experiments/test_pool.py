@@ -23,8 +23,8 @@ from repro.common.errors import (
     WorkerHang,
 )
 from repro.experiments.campaign import RunSpec
-from repro.experiments.faults import ChaosPlan, FaultPlan
-from repro.experiments.parallel import ParallelCampaignExecutor
+from repro.experiments.faults import SLOW_UNIT_SECONDS, ChaosPlan, FaultPlan
+from repro.experiments.parallel import UnitScheduler
 from repro.experiments.pool import (
     FrameTimeout,
     MAX_FRAME_BYTES,
@@ -168,19 +168,38 @@ class TestWorkerHandle:
         assert handle.proc.returncode == 0  # graceful, not killed
 
     def test_heartbeats_keep_a_slow_unit_alive(self):
-        """A unit longer than the silence window survives via heartbeats."""
-        slow = RunSpec("UTS", "scord", "default")  # ~3s simulation
+        """A unit longer than the silence window survives via heartbeats.
+
+        The slow part is a worker-side sleep (``pool-slow``), not a long
+        simulation, so a busy host cannot starve the heartbeats.
+        """
         handle = WorkerHandle(0)
         handle.spawn()
         try:
+            started = time.monotonic()
             record = handle.run_unit(
-                slow, deadline=120,
+                FAST, deadline=120, fault="pool-slow",
                 heartbeat_timeout=0.5, heartbeat_seconds=0.05,
             )
-            assert record.wall_seconds > 0.5  # outlived the window
+            assert time.monotonic() - started >= SLOW_UNIT_SECONDS
+            assert SLOW_UNIT_SECONDS > 0.5  # outlived the window
             assert handle.heartbeats_seen > 0
+            assert semantic_record_dict(record) == expected_record(FAST)
         finally:
             handle.shutdown()
+
+    def test_a_slow_unit_without_heartbeats_is_declared_hung(self):
+        handle = WorkerHandle(0)
+        handle.spawn()
+        try:
+            with pytest.raises(WorkerHang):
+                handle.run_unit(
+                    FAST, deadline=120, fault="pool-slow",
+                    heartbeat_timeout=0.5, heartbeat_seconds=0,
+                )
+            assert handle.heartbeats_seen == 0
+        finally:
+            handle.kill()
 
     def test_structured_error_is_rehydrated(self):
         handle = WorkerHandle(0)
@@ -342,11 +361,9 @@ class TestStoreIntegrityUnderFaults:
             backoff_seconds=0.01, max_worker_restarts=16,
         )
         chaos = ChaosPlan("pool-kill", every=2)
-        with PoolSupervisor(config, fault_plan=chaos) as sup:
-            parallel = ParallelCampaignExecutor(
-                sup, jobs=2, store=store, verbose=False
-            )
-            outcome = parallel.run_units(units)
+        with PoolSupervisor(config, fault_plan=chaos) as sup, \
+                UnitScheduler(sup, threads=2, store=store) as scheduler:
+            outcome = scheduler.run_units(units)
             stats = sup.stats()
         assert chaos.injected >= 1  # workers really were SIGKILLed
         assert sum(stats["lost_workers"].values()) == chaos.injected

@@ -11,7 +11,7 @@ import json
 from repro.experiments import cli
 from repro.experiments.campaign import RunSpec
 from repro.experiments.faults import ChaosPlan
-from repro.experiments.parallel import ParallelCampaignExecutor
+from repro.experiments.parallel import UnitScheduler
 from repro.experiments.runner import Runner
 from repro.experiments.store import semantic_record_dict
 from repro.experiments.supervisor import PoolConfig, PoolSupervisor
@@ -49,10 +49,9 @@ def chaos_pool_run(units, every=3, jobs=2):
         workers=jobs, unit_timeout=60, heartbeat_timeout=5.0,
         backoff_seconds=0.01, max_worker_restarts=16,
     )
-    with PoolSupervisor(config, fault_plan=chaos) as supervisor:
-        outcome = ParallelCampaignExecutor(
-            supervisor, jobs=jobs, verbose=False
-        ).run_units(units)
+    with PoolSupervisor(config, fault_plan=chaos) as supervisor, \
+            UnitScheduler(supervisor, threads=jobs) as scheduler:
+        outcome = scheduler.run_units(units)
         stats = supervisor.stats()
     return outcome, stats, chaos
 
@@ -89,9 +88,8 @@ class TestChaosRecovery:
         assert supervisor.config.workers == 2
         units = UNITS[:4]
         try:
-            outcome = ParallelCampaignExecutor(
-                supervisor, jobs=2, verbose=False
-            ).run_units(units)
+            with UnitScheduler(supervisor, threads=2) as scheduler:
+                outcome = scheduler.run_units(units)
         finally:
             supervisor.close()
         assert not outcome.failures

@@ -43,7 +43,6 @@ def daemon(tmp_path_factory):
         port=0,  # ephemeral
         workers=1,
         dispatchers=2,
-        shard_size=2,
         store_path=str(tmp / "store.jsonl"),
         cache_dir=str(tmp / "cache"),
         quota_units=8,
