@@ -205,13 +205,14 @@ class GPU:
         if self.telemetry is None:
             return self._launch(kernel, name, grid, block_dim, args)
         tracer = self.telemetry.tracer
-        with tracer.span(
-            f"kernel:{name}", cat="engine", grid=grid, block_dim=block_dim
-        ), self.telemetry.profiler.phase("engine.launch") as prof:
+        with self.telemetry.phase(
+            "engine.launch", f"kernel:{name}", cat="engine",
+            grid=grid, block_dim=block_dim,
+        ) as phase:
             result = self._launch(
                 kernel, name, grid, block_dim, args, tracer=tracer
             )
-            prof.add_ops(result.events)
+            phase.add_ops(result.events)
         tracer.sim_span(
             f"kernel:{name}",
             result.start_cycle,

@@ -30,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import threading
+import time
 from typing import List, Optional, Tuple, Type
 
 from repro.common.errors import (
@@ -214,6 +215,7 @@ class CampaignRunner(Runner):
                 f"prefetch: {prior.category}: {prior.message}",
                 failure=prior,
             )
+        started = time.time()
         future, source = self.scheduler.submit(CAMPAIGN_CLIENT, spec)
         if source != "cache":
             self._announce(spec)
@@ -221,9 +223,18 @@ class CampaignRunner(Runner):
             record = future.result()
         except RunFailedError as err:
             if err.failure is not None:
-                self.failures.append(err.failure)
+                self._fail(err.failure, time.time() - started)
             raise
         return record, "cache" if source == "cache" else "run"
+
+    def _fail(self, failure: RunFailure, seconds: float) -> None:
+        """Keep one permanently failed unit for the manifest; its latency
+        joins the ``failed`` source of ``exp.unit.seconds``."""
+        self.failures.append(failure)
+        if self.telemetry is not None:
+            self.telemetry.metrics.histogram(
+                "exp.unit.seconds", source="failed"
+            ).observe(seconds)
 
 
 # ----------------------------------------------------------------------

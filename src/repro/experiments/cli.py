@@ -31,12 +31,13 @@ Parallelism and caching (see docs/architecture.md, "Parallel campaigns"):
 * ``--cache-dir PATH`` layers a content-addressed result cache over the
   runs: units are keyed by a stable hash of the resolved configs, kernel
   identity, seed, and schema version, so re-runs and overlapping
-  exhibits hit disk instead of re-simulating; ``--no-cache`` disables.
+  exhibits hit disk instead of re-simulating.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import sys
 import time
@@ -257,12 +258,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "are stored by config/seed/schema hash and reused across runs",
     )
     parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="do not read or write the result cache even if --cache-dir "
-        "is given",
-    )
-    parser.add_argument(
         "--trace",
         metavar="PATH",
         help="write a Chrome trace_event JSON (load in Perfetto / "
@@ -376,7 +371,7 @@ def _build_telemetry(args, flight=None):
 
 
 def _build_cache(args):
-    if args.no_cache or not args.cache_dir:
+    if not args.cache_dir:
         return None
     from repro.experiments.parallel import ResultCache
 
@@ -408,20 +403,12 @@ def _build_runner(
     )
 
 
-def _profile_section(runner, telemetry, elapsed_seconds):
-    """The manifest's campaign-profiling block (None without telemetry)."""
+def _phase(telemetry, name, span):
+    """``telemetry.phase`` for one campaign phase; a no-op without
+    telemetry."""
     if telemetry is None:
-        return None
-    from repro.telemetry import shard_utilization, source_latencies
-
-    section = {"phases": telemetry.profiler.as_dict()}
-    outcome = getattr(runner, "last_parallel_outcome", None)
-    if outcome is not None:
-        section["shards"] = shard_utilization(
-            outcome.outcomes, outcome.elapsed_seconds
-        )
-        section["unit_sources"] = source_latencies(outcome.outcomes)
-    return section
+        return contextlib.nullcontext()
+    return telemetry.phase(name, span)
 
 
 def _build_pool(args, telemetry=None, flight=None):
@@ -532,7 +519,7 @@ def _write_manifest(
                 if runner.result_cache is not None
                 else None
             ),
-            "profile": _profile_section(runner, telemetry, elapsed_seconds),
+            "profile": telemetry.profile() if telemetry is not None else None,
             "elapsed_seconds": round(elapsed_seconds, 3),
     }
     if lint_section is not None:
@@ -861,12 +848,8 @@ def main(argv=None) -> int:
         campaign_span.__enter__()
     lint_section = None
     if args.preflight_lint:
-        if telemetry is not None:
-            with telemetry.tracer.span("preflight-lint", cat="exp"), \
-                    telemetry.profiler.phase("exp.preflight_lint"):
-                lint_section = _preflight_lint(telemetry=telemetry)
-        else:
-            lint_section = _preflight_lint()
+        with _phase(telemetry, "exp.preflight_lint", "preflight-lint"):
+            lint_section = _preflight_lint(telemetry=telemetry)
     plannable = [name for name in wanted if name in RUNNER_EXHIBITS]
     exhibit_errors = {}
     # One scheduler and pool serve the prefetch and every unit the
@@ -876,23 +859,14 @@ def main(argv=None) -> int:
         if supervisor is not None and plannable:
             from repro.experiments.parallel import prefetch_exhibits
 
-            if telemetry is not None:
-                with telemetry.tracer.span("parallel-prefetch", cat="exp"), \
-                        telemetry.profiler.phase("exp.prefetch"):
-                    prefetch_exhibits(
-                        runner, runners, plannable, verbose=not args.quiet
-                    )
-            else:
+            with _phase(telemetry, "exp.prefetch", "parallel-prefetch"):
                 prefetch_exhibits(
                     runner, runners, plannable, verbose=not args.quiet
                 )
         for name in wanted:
             try:
-                if telemetry is not None:
-                    with telemetry.tracer.span(f"exhibit:{name}", cat="exp"), \
-                            telemetry.profiler.phase(f"exp.render.{name}"):
-                        text = runners[name](runner)
-                else:
+                with _phase(telemetry, f"exp.render.{name}",
+                            f"exhibit:{name}"):
                     text = runners[name](runner)
                 print(text)
             except ReproError as err:
@@ -922,14 +896,10 @@ def main(argv=None) -> int:
     elapsed = time.time() - started
     mc_section = None
     if args.mc:
-        if telemetry is not None:
-            with telemetry.tracer.span("mc-upgrade", cat="exp"), \
-                    telemetry.profiler.phase("exp.mc"):
-                mc_section = _mc_section(
-                    runner, args.mc_budget, args.quiet, telemetry
-                )
-        else:
-            mc_section = _mc_section(runner, args.mc_budget, args.quiet)
+        with _phase(telemetry, "exp.mc", "mc-upgrade"):
+            mc_section = _mc_section(
+                runner, args.mc_budget, args.quiet, telemetry
+            )
         elapsed = time.time() - started
     forensics_section = runner.forensics_section()
     if forensics_section is not None and not args.quiet:

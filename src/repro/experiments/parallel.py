@@ -217,7 +217,6 @@ class CampaignOutcome:
 
     outcomes: List[UnitOutcome]
     jobs: int
-    elapsed_seconds: float
 
     @property
     def failures(self) -> List[RunFailure]:
@@ -450,7 +449,6 @@ class UnitScheduler:
     ) -> CampaignOutcome:
         """Run every unit as one client; outcomes in submission order."""
         unique = dedupe_specs(specs)
-        started = time.time()
         tickets = [(spec,) + self.submit(client, spec) for spec in unique]
         if verbose:
             for spec, future, _ in tickets:
@@ -461,11 +459,7 @@ class UnitScheduler:
             self._outcome(spec, future, source)
             for spec, future, source in tickets
         ]
-        return CampaignOutcome(
-            outcomes=outcomes,
-            jobs=self.threads,
-            elapsed_seconds=time.time() - started,
-        )
+        return CampaignOutcome(outcomes=outcomes, jobs=self.threads)
 
     def _outcome(self, spec, future: UnitFuture, source: str) -> UnitOutcome:
         outcome = UnitOutcome(
@@ -480,18 +474,13 @@ class UnitScheduler:
         if source != "cache":
             outcome.shard = future.dispatcher
             outcome.seconds = future.seconds
-        if self.telemetry is not None:
+        if self.telemetry is not None and outcome.shard is not None:
             metrics = self.telemetry.metrics
-            if outcome.shard is not None:
-                shard = str(outcome.shard)
-                metrics.counter("exp.shard.units", shard=shard).inc()
-                metrics.counter(
-                    "exp.shard.busy_seconds", shard=shard
-                ).inc(outcome.seconds)
-            metrics.histogram(
-                "exp.unit.seconds",
-                source="failed" if outcome.failure else outcome.source,
-            ).observe(outcome.seconds)
+            shard = str(outcome.shard)
+            metrics.counter("exp.shard.units", shard=shard).inc()
+            metrics.counter(
+                "exp.shard.busy_seconds", shard=shard
+            ).inc(outcome.seconds)
         return outcome
 
     # ------------------------------------------------------------------
@@ -631,20 +620,10 @@ def prefetch_exhibits(
     outcome = scheduler.run_units(
         pending, client=CAMPAIGN_CLIENT, verbose=verbose
     )
-    # The manifest's profile section reports per-dispatcher utilization
-    # and cache hit/miss latency from the most recent parallel phase.
-    runner.last_parallel_outcome = outcome
-    store = runner._store
     for unit in outcome.outcomes:
         if unit.record is not None:
-            runner._cache[unit.spec.key()] = unit.record
-            if unit.source == "cache":
-                runner.cached_runs += 1
-                if store is not None:
-                    store.append(unit.record)
-            else:
-                runner.fresh_runs += 1
+            runner._fold(unit.spec, unit.record, unit.source, unit.seconds)
         elif unit.failure is not None:
             runner.prefailed[unit.spec.key()] = unit.failure
-            runner.failures.append(unit.failure)
+            runner._fail(unit.failure, unit.seconds)
     return outcome

@@ -179,16 +179,24 @@ class Runner:
         races: Tuple[str, ...] = (),
         seed: int = 1,
     ) -> RunRecord:
-        key = (app_cls.name, detector, memory, frozenset(races), seed)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
         from repro.experiments.campaign import RunSpec
 
         spec = RunSpec(app_cls.name, detector, memory, tuple(races), seed)
+        cached = self._cache.get(spec.key())
+        if cached is not None:
+            return cached
         started = time.time()
         record, source = self._answer(app_cls, spec)
-        self._cache[key] = record
+        self._fold(spec, record, source, time.time() - started)
+        return record
+
+    def _fold(
+        self, spec, record: RunRecord, source: str, seconds: float
+    ) -> None:
+        """Keep one answered unit: the path every unit takes, whether
+        simulated in-process or on the pool, fresh or a cache hit, asked
+        for by an exhibit or by the parallel prefetch."""
+        self._cache[spec.key()] = record
         if source == "cache":
             self.cached_runs += 1
             if self._store is not None:
@@ -196,11 +204,16 @@ class Runner:
                 self._store.append(record)
         else:
             self.fresh_runs += 1
-        self._observe_unit(
-            app_cls.name, detector, memory,
-            source, time.time() - started, record,
-        )
-        return record
+        if self.telemetry is None:
+            return
+        metrics = self.telemetry.metrics
+        metrics.counter("exp.units.total").inc()
+        metrics.counter(f"exp.units.{source}").inc()
+        metrics.histogram("exp.unit.seconds", source=source).observe(seconds)
+        metrics.counter("exp.sim.cycles").inc(record.cycles)
+        metrics.counter("exp.sim.dram.data").inc(record.dram_data)
+        metrics.counter("exp.sim.dram.metadata").inc(record.dram_metadata)
+        metrics.counter("exp.sim.races.unique").inc(record.unique_races)
 
     def _answer(self, app_cls: Type[ScorApp], spec) -> Tuple[RunRecord, str]:
         """``(record, "cache" | "run")`` for one memo miss: the unit
@@ -214,10 +227,7 @@ class Runner:
         span = contextlib.nullcontext()
         if self.telemetry is not None:
             span = self.telemetry.tracer.span(
-                f"unit:{spec.app}/{spec.detector}/{spec.memory}",
-                cat="exp",
-                races=sorted(spec.races),
-                seed=spec.seed,
+                f"unit:{spec.describe()}", cat="exp"
             )
         with span:
             record = self._simulate(
@@ -236,22 +246,6 @@ class Runner:
                 file=sys.stderr,
                 flush=True,
             )
-
-    def _observe_unit(
-        self, app: str, detector: str, memory: str,
-        source: str, seconds: float, record: RunRecord,
-    ) -> None:
-        """Fold one completed unit into the campaign-level metrics."""
-        if self.telemetry is None:
-            return
-        metrics = self.telemetry.metrics
-        metrics.counter("exp.units.total").inc()
-        metrics.counter(f"exp.units.{source}").inc()
-        metrics.histogram("exp.unit.seconds", source=source).observe(seconds)
-        metrics.counter("exp.sim.cycles").inc(record.cycles)
-        metrics.counter("exp.sim.dram.data").inc(record.dram_data)
-        metrics.counter("exp.sim.dram.metadata").inc(record.dram_metadata)
-        metrics.counter("exp.sim.races.unique").inc(record.unique_races)
 
     # -- overridable by the campaign layer -----------------------------
     def _simulate(

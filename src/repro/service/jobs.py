@@ -249,9 +249,7 @@ class JobManager:
         from repro.fuzz.oracles import static_verdict
 
         self._m_preflight.inc()
-        with self.telemetry.tracer.span(
-            "service.preflight", cat="service"
-        ), self.telemetry.profiler.phase("service.preflight"):
+        with self.telemetry.phase("service.preflight", cat="service"):
             verdict = static_verdict(parsed["program"])
         if verdict["racy"] and parsed["on_static_race"] == "reject":
             self._m_static_reject.inc()
@@ -359,9 +357,9 @@ class JobManager:
             if job.state == "queued":
                 job.state = "running"
         label = _unit_label(job, index)
-        with self.telemetry.tracer.span(
+        with self.telemetry.phase(
             "service.unit", cat="service", unit=label, client=job.client
-        ), self.telemetry.profiler.phase("service.unit"):
+        ):
             if job.kind == "campaign":
                 return self.scheduler.execute(job.specs[index])
             from repro.fuzz.oracles import dynamic_verdict

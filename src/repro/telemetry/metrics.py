@@ -206,6 +206,15 @@ class MetricsRegistry:
     ) -> Histogram:
         return self._get(Histogram, name, labels, buckets=buckets)
 
+    def family(self, name: str, label: str) -> Dict[str, object]:
+        """The instruments named *name*, keyed by their *label* value."""
+        with self._lock:
+            return {
+                dict(labels)[label]: instrument
+                for (key, labels), instrument in self._instruments.items()
+                if key == name
+            }
+
     # ------------------------------------------------------------------
     # Collectors — pull-style sources read at snapshot time
     # ------------------------------------------------------------------

@@ -6,7 +6,8 @@ and renders the three views people actually reach for first:
 
 * **top counters** — the largest metric values, grouped by layer;
 * **phase breakdown** — wall-time per span name, aggregated over the
-  trace's wall-clock timeline (plus the manifest's profiler phases);
+  trace's wall-clock timeline (without a trace: the manifest's
+  ``profile`` phases);
 * **timelines** — sparklines of the simulated-cycles counter tracks
   (NoC/DRAM/L2 utilization et al.), the text twin of the Perfetto view.
 """
@@ -113,6 +114,24 @@ def phase_breakdown(events: List[dict], top: int = 15) -> List[str]:
     return lines
 
 
+def manifest_phases(phases: Dict[str, dict]) -> List[str]:
+    """The manifest ``profile.phases`` table, in its (costliest-first)
+    order."""
+    width = max(len(name) for name in phases)
+    lines = []
+    for name, entry in phases.items():
+        rate = (
+            f"  {entry['ops_per_sec']:,.0f} ops/s"
+            if "ops_per_sec" in entry
+            else ""
+        )
+        lines.append(
+            f"  {name:<{width}}  {entry['seconds']:>9.3f}s  "
+            f"x{entry['calls']}{rate}"
+        )
+    return lines
+
+
 def counter_timelines(events: List[dict], width: int = 60) -> List[str]:
     series: Dict[str, List[tuple]] = {}
     for event in events:
@@ -205,6 +224,7 @@ def render_dashboard(
                 sections.append("")
                 sections.append(title)
                 sections.extend(block)
+    phases = ((manifest or {}).get("profile") or {}).get("phases")
     if trace is not None:
         events = _events_of(trace)
         sections.append("")
@@ -216,6 +236,10 @@ def render_dashboard(
         sections.append("")
         sections.append("simulated-cycles counter timelines:")
         sections.extend(counter_timelines(events, width=width))
+    elif phases:
+        sections.append("")
+        sections.append("phase breakdown (from manifest):")
+        sections.extend(manifest_phases(phases))
     if manifest is not None:
         forensics = manifest.get("forensics")
         if forensics:
@@ -245,20 +269,5 @@ def render_dashboard(
                     f"unit(s), {entry.get('heartbeats_seen', 0)} "
                     f"heartbeat(s), {entry.get('lifetime_seconds', 0)}s "
                     f"({state})"
-                )
-        phases = (manifest.get("profile") or {}).get("phases")
-        if phases:
-            sections.append("")
-            sections.append("profiler phases (from manifest):")
-            name_width = max(len(name) for name in phases)
-            for name, entry in phases.items():
-                rate = (
-                    f"  {entry['ops_per_sec']:,.0f} ops/s"
-                    if "ops_per_sec" in entry
-                    else ""
-                )
-                sections.append(
-                    f"  {name:<{name_width}}  {entry['seconds']:>9.3f}s  "
-                    f"x{entry['calls']}{rate}"
                 )
     return "\n".join(sections)

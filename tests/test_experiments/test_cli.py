@@ -99,3 +99,75 @@ class TestResilienceFlags:
         assert manifest["exhibits"]["table2"]["status"] == "failed"
         assert manifest["exhibits"]["table2"]["code"] == "simulation"
         assert manifest["exhibits"]["table8"]["status"] == "ok"
+
+
+class TestCampaignMetrics:
+    """``--jobs 0`` and ``--jobs N`` export one set of campaign numbers."""
+
+    @pytest.fixture(scope="class")
+    def exports(self, tmp_path_factory):
+        from repro.experiments import fig8
+        from repro.scor.apps.reduction import ReductionApp
+
+        out = tmp_path_factory.mktemp("campaign-metrics")
+        patch = pytest.MonkeyPatch()
+        # a three-unit fig8: RED under none/base/scord
+        patch.setattr(fig8, "ALL_APPS", [ReductionApp])
+        exports = {}
+        try:
+            for jobs in ("0", "2"):
+                prefix = out / f"jobs{jobs}"
+                assert main([
+                    "fig8", "--quiet", "--jobs", jobs,
+                    "--metrics-out", f"{prefix}.prom",
+                    "--manifest", f"{prefix}.json",
+                ]) == 0
+                exports[jobs] = (
+                    json.loads(
+                        (out / f"jobs{jobs}.prom.json").read_text()
+                    )["metrics"],
+                    json.loads((out / f"jobs{jobs}.json").read_text()),
+                )
+        finally:
+            patch.undo()
+        return exports
+
+    @pytest.mark.parametrize("name", [
+        "exp.units.total", "exp.units.run", "exp.sim.cycles",
+        "exp.sim.dram.data", "exp.sim.dram.metadata",
+    ])
+    def test_pool_and_in_process_export_equal_totals(self, exports, name):
+        in_process, _ = exports["0"]
+        pool, _ = exports["2"]
+        assert name in pool, sorted(pool)[:20]
+        assert pool[name] == in_process[name]
+
+    @pytest.mark.parametrize("jobs", ["0", "2"])
+    def test_every_unit_is_timed_once(self, exports, jobs):
+        metrics, manifest = exports[jobs]
+        counts = manifest["counts"]
+        timed = sum(
+            value for name, value in metrics.items()
+            if name.startswith("exp.unit.seconds{") and name.endswith(".count")
+        )
+        assert metrics["exp.units.total"] == 3
+        assert timed == metrics["exp.units.total"]
+        assert timed == counts["fresh_runs"] + counts["cached_runs"]
+
+    @pytest.mark.parametrize("jobs", ["0", "2"])
+    def test_manifest_profile_is_the_registry(self, exports, jobs):
+        metrics, manifest = exports[jobs]
+        profile = manifest["profile"]
+        assert profile["phases"]["exp.render.fig8"]["calls"] == 1
+        for source, entry in profile["unit_sources"].items():
+            key = f'exp.unit.seconds{{source="{source}"}}'
+            assert entry["units"] == metrics[key + ".count"]
+            assert entry["total_seconds"] == round(metrics[key + ".sum"], 3)
+        shards = profile.get("shards", {})
+        assert bool(shards) == (jobs != "0")
+        for shard, entry in shards.items():
+            key = f'{{shard="{shard}"}}'
+            assert entry["units"] == metrics["exp.shard.units" + key]
+            assert entry["busy_seconds"] == round(
+                metrics["exp.shard.busy_seconds" + key], 3
+            )

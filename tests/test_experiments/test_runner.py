@@ -101,3 +101,35 @@ class TestConfigurations:
         default = gpu_config_for("default")
         high = gpu_config_for("high")
         assert low.l2_size_bytes < default.l2_size_bytes < high.l2_size_bytes
+
+
+def test_a_unit_span_has_one_name_in_process_and_on_the_scheduler():
+    """``--jobs 0`` and ``--jobs N`` traces name a unit alike."""
+    from repro.experiments.campaign import RunSpec
+    from repro.experiments.parallel import UnitScheduler
+    from repro.telemetry import Telemetry, TraceConfig
+
+    spec = RunSpec("RED", "none", races=("block_fence",), seed=3)
+    in_process = Telemetry(TraceConfig())
+    record = Runner(verbose=False, telemetry=in_process).run(
+        ReductionApp, detector=spec.detector, races=spec.races,
+        seed=spec.seed,
+    )
+
+    class Executor:
+        def execute(self, _spec):
+            return record
+
+    pooled = Telemetry(TraceConfig())
+    with UnitScheduler(Executor(), telemetry=pooled) as scheduler:
+        scheduler.execute(spec)
+
+    def unit_spans(telemetry):
+        return [
+            event["name"] for event in telemetry.tracer.events()
+            if event["ph"] == "X" and event["name"].startswith("unit:")
+        ]
+
+    assert unit_spans(in_process) == unit_spans(pooled) == [
+        f"unit:{spec.describe()}"
+    ]

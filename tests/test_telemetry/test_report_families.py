@@ -64,3 +64,31 @@ class TestDashboardBlocks:
         assert "pool workers:" in text
         assert "worker 0: 5 unit(s)" in text
         assert "(retired)" in text
+
+
+class TestOnePhaseTable:
+    MANIFEST = {
+        "ok": True,
+        "profile": {"phases": {
+            "exp.render.fig8": {"seconds": 2.5, "calls": 1},
+            "engine.launch": {"seconds": 2.0, "calls": 54, "ops": 1000,
+                              "ops_per_sec": 500.0},
+        }},
+    }
+    TRACE = {"traceEvents": [
+        {"ph": "X", "pid": 1, "tid": 0, "name": "exhibit:fig8",
+         "ts": 0.0, "dur": 2.5e6},
+    ]}
+
+    def test_manifest_phases_without_a_trace(self):
+        text = render_dashboard(manifest=self.MANIFEST)
+        assert text.count("phase breakdown") == 1
+        assert "phase breakdown (from manifest):" in text
+        assert "500 ops/s" in text
+
+    def test_trace_phases_replace_the_manifest_table(self):
+        text = render_dashboard(trace=self.TRACE, manifest=self.MANIFEST)
+        assert text.count("phase breakdown") == 1
+        assert "phase breakdown (wall-clock spans):" in text
+        assert "exhibit:fig8" in text
+        assert "engine.launch" not in text
