@@ -6,7 +6,9 @@ campaign and one crash loses it.  This module holds the pieces every
 executor shares:
 
 * :class:`RunSpec` — one simulation request, serializable across the
-  worker boundary;
+  worker boundary, and its sibling :class:`ProgramSpec` — one fuzz
+  program under one oracle run (a jitter seed of the dynamic sweep, or
+  a bounded ``mc`` exploration);
 * :class:`RunFailure` — a run that failed permanently (retries
   exhausted), which exhibits render as ``FAILED(reason)`` cells and the
   CLI collects into a failure manifest;
@@ -31,7 +33,7 @@ import dataclasses
 import os
 import threading
 import time
-from typing import List, Optional, Tuple, Type
+from typing import ClassVar, List, Optional, Tuple, Type
 
 from repro.common.errors import (
     ConfigError,
@@ -50,6 +52,11 @@ SPEC_SCHEMA = 1
 
 #: the scheduler client a campaign's units queue under
 CAMPAIGN_CLIENT = "campaign"
+
+#: events between watchdog checks in a program unit.  A fuzz program's
+#: launches run a few hundred to a few thousand events, below the
+#: campaign default of 4096, so a coarser cadence would never beat.
+PROGRAM_CHECK_INTERVAL = 256
 
 #: retryable failure categories; deterministic misconfigurations are not
 _NO_RETRY_CODES = frozenset({"config", "kernel"})
@@ -116,11 +123,84 @@ class RunSpec:
         )
 
 
+@dataclasses.dataclass(frozen=True)
+class ProgramSpec:
+    """One fuzz program and one oracle run, serializable like RunSpec.
+
+    ``oracle`` is ``"dynamic"`` (ScoRD at jitter seed ``seed``) or
+    ``"mc"`` (bounded DPOR at ``budget`` schedules).  The answer is the
+    oracle's verdict dict, crashes folded in (:func:`repro.fuzz.oracles.
+    unit_verdict`).  Fault rules and failure entries see every program
+    unit as the app ``program``.
+    """
+
+    program: object  #: a :class:`repro.fuzz.program.FuzzProgram`
+    oracle: str = "dynamic"
+    detector: str = "scord"
+    seed: int = 0
+    budget: int = 0
+
+    app: ClassVar[str] = "program"
+    memory: ClassVar[str] = "default"
+    races: ClassVar[Tuple[str, ...]] = ()
+
+    def __post_init__(self):
+        if self.oracle not in ("dynamic", "mc"):
+            raise ConfigError(f"unknown program oracle {self.oracle!r}")
+
+    def describe(self) -> str:
+        from repro.fuzz.program import program_digest
+
+        run = f"mc.b{self.budget}" if self.oracle == "mc" else f"s{self.seed}"
+        return (
+            f"program:{program_digest(self.program)[:12]}"
+            f"/{self.detector}.{run}"
+        )
+
+    def key(self):
+        """The poison-count identity of this unit."""
+        return ("program", self.describe())
+
+    def to_dict(self) -> dict:
+        return {
+            "schema": SPEC_SCHEMA,
+            "kind": "program",
+            "program": self.program.to_dict(),
+            "oracle": self.oracle,
+            "detector": self.detector,
+            "seed": self.seed,
+            "budget": self.budget,
+        }
+
+    @staticmethod
+    def from_dict(payload: dict) -> "ProgramSpec":
+        from repro.fuzz.program import FuzzProgram
+
+        if payload.get("schema") != SPEC_SCHEMA:
+            raise ConfigError(
+                f"unsupported spec schema {payload.get('schema')!r}"
+            )
+        return ProgramSpec(
+            program=FuzzProgram.from_dict(payload["program"]),
+            oracle=payload.get("oracle", "dynamic"),
+            detector=payload.get("detector", "scord"),
+            seed=int(payload.get("seed", 0)),
+            budget=int(payload.get("budget", 0)),
+        )
+
+
+def unit_from_dict(payload: dict):
+    """A :class:`RunSpec` or :class:`ProgramSpec`, by the ``kind`` key."""
+    if payload.get("kind") == "program":
+        return ProgramSpec.from_dict(payload)
+    return RunSpec.from_dict(payload)
+
+
 @dataclasses.dataclass
 class RunFailure:
     """A run that failed permanently (all retries exhausted)."""
 
-    spec: RunSpec
+    spec: RunSpec  #: or a ProgramSpec
     category: str  # e.g. run-timeout, worker-crash, simulation
     message: str
     attempts: int
@@ -243,8 +323,9 @@ class CampaignRunner(Runner):
 class InProcessExecutor:
     """Serial in-process executor: the floor of the degradation ladder.
 
-    Same ``execute(spec) -> RunRecord`` contract as the pool
-    supervisor, but no subprocess at all — the simulation
+    Same ``execute(unit)`` contract as the pool supervisor (a
+    :class:`RunSpec` answers with its record, a :class:`ProgramSpec`
+    with its verdict), but no subprocess at all — the simulation
     runs in the calling interpreter under a watchdog.  The pool
     supervisor falls back to this when workers cannot be sustained, so
     "the environment cannot keep a subprocess alive" degrades a campaign
@@ -265,32 +346,13 @@ class InProcessExecutor:
         self.forensics_units: List[dict] = []
         self._lock = threading.Lock()
 
-    def execute(self, spec: RunSpec) -> RunRecord:
-        from repro.scor.apps.registry import app_by_name
-
-        guard_factory = None
-        if self.timeout:
-            deadline = self.timeout * 0.8
-            guard_factory = lambda: Watchdog(
-                GuardConfig(deadline_seconds=deadline)
-            )
+    def execute(self, spec: RunSpec):
+        """A campaign unit's record, or a program unit's verdict."""
         with self._lock:
             try:
-                runner = Runner(
-                    verbose=False,
-                    guard_factory=guard_factory,
-                    flight=self.flight,
-                    forensics_dir=self.forensics_dir,
-                )
-                record = runner.run(
-                    app_by_name(spec.app),
-                    detector=spec.detector,
-                    memory=spec.memory,
-                    races=spec.races,
-                    seed=spec.seed,
-                )
-                self.forensics_units.extend(runner.forensics_units)
-                return record
+                if isinstance(spec, ProgramSpec):
+                    return self._verdict(spec)
+                return self._record(spec)
             except ReproError as err:
                 failure = RunFailure(
                     spec, _unit_failure_code(err), str(err), attempts=1
@@ -306,3 +368,39 @@ class InProcessExecutor:
                     f"{spec.describe()} failed in-process: config: {err}",
                     failure=failure,
                 ) from err
+
+    def _record(self, spec: RunSpec) -> RunRecord:
+        from repro.scor.apps.registry import app_by_name
+
+        guard_factory = None
+        if self.timeout:
+            deadline = self.timeout * 0.8
+            guard_factory = lambda: Watchdog(
+                GuardConfig(deadline_seconds=deadline)
+            )
+        runner = Runner(
+            verbose=False,
+            guard_factory=guard_factory,
+            flight=self.flight,
+            forensics_dir=self.forensics_dir,
+        )
+        record = runner.run(
+            app_by_name(spec.app),
+            detector=spec.detector,
+            memory=spec.memory,
+            races=spec.races,
+            seed=spec.seed,
+        )
+        self.forensics_units.extend(runner.forensics_units)
+        return record
+
+    def _verdict(self, spec: ProgramSpec) -> dict:
+        from repro.fuzz.oracles import unit_verdict
+
+        guard = None
+        if self.timeout:
+            guard = Watchdog(GuardConfig(
+                deadline_seconds=self.timeout * 0.8,
+                check_interval=PROGRAM_CHECK_INTERVAL,
+            ))
+        return unit_verdict(spec, guard)

@@ -340,7 +340,9 @@ class UnitScheduler:
         A campaign unit is a :class:`RunSpec`: its digest defaults to
         :func:`unit_digest` and its run to :meth:`execute`.  A unit
         with no spec (the service's programs) passes its own *digest*
-        and a zero-argument *run*.  Returns ``(future, source)``:
+        and a zero-argument *run* (which calls :meth:`execute` with a
+        :class:`~repro.experiments.campaign.ProgramSpec`).  Returns
+        ``(future, source)``:
         ``"cache"`` when the memo table or the disk cache answered (the
         future is done), ``"coalesced"`` when an identical unit is
         queued or running, else ``"executed"``.
@@ -383,18 +385,21 @@ class UnitScheduler:
             return None
         return future, "cache" if future.done() else "coalesced"
 
-    def execute(self, spec: RunSpec) -> RunRecord:
-        """Run one campaign unit on the executor and keep its record."""
+    def execute(self, spec):
+        """Run one unit on the executor: a campaign unit's record is
+        kept (cache, store) and returned; a program unit's verdict is
+        returned."""
         span = contextlib.nullcontext()
         if self.telemetry is not None:
             span = self.telemetry.tracer.span(
                 f"unit:{spec.describe()}", cat="exp"
             )
         with span:
-            record = self.executor.execute(spec)
-        with self._store_lock:
-            file_record(record, self.cache, self.store)
-        return record
+            answer = self.executor.execute(spec)
+        if isinstance(spec, RunSpec):
+            with self._store_lock:
+                file_record(answer, self.cache, self.store)
+        return answer
 
     # ------------------------------------------------------------------
     def _dispatch(self, index: int) -> None:

@@ -7,7 +7,10 @@ every time; this module keeps the isolation boundary while paying the
 spawn cost **once per worker** instead of once per unit:
 
 * a **worker** (``python -m repro.experiments.pool``) boots, pre-imports
-  the engine, announces ``ready``, then serves ``run`` requests over a
+  the engine, announces ``ready``, then serves ``run`` requests (two unit
+  kinds: a campaign :class:`~repro.experiments.campaign.RunSpec`, answered
+  with its record, and a fuzz-program :class:`~repro.experiments.campaign.
+  ProgramSpec`, answered with its oracle's verdict) over a
   length-prefixed JSON frame protocol on stdin/stdout until told to shut
   down (or until the supervisor recycles it after a fault or a unit
   timeout);
@@ -44,7 +47,7 @@ import struct
 import subprocess
 import sys
 import time
-from typing import Optional
+from typing import Optional, Union
 
 from repro.common.errors import (
     ProtocolDesync,
@@ -55,7 +58,13 @@ from repro.common.errors import (
     WorkerHang,
 )
 from repro.common.guard import GuardConfig, Watchdog
-from repro.experiments.campaign import RunSpec, _worker_env
+from repro.experiments.campaign import (
+    PROGRAM_CHECK_INTERVAL,
+    ProgramSpec,
+    RunSpec,
+    _worker_env,
+    unit_from_dict,
+)
 from repro.experiments.runner import RunRecord
 from repro.experiments.store import record_from_dict, record_to_dict
 
@@ -277,7 +286,7 @@ class WorkerHandle:
     # ------------------------------------------------------------------
     def run_unit(
         self,
-        spec: RunSpec,
+        spec: Union[RunSpec, ProgramSpec],
         deadline: Optional[float] = None,
         fault: Optional[str] = None,
         heartbeat_timeout: float = 10.0,
@@ -285,8 +294,9 @@ class WorkerHandle:
         flight: Optional[dict] = None,
         forensics_dir: Optional[str] = None,
         campaign: Optional[str] = None,
-    ) -> RunRecord:
-        """Drive one unit through the worker; return its record.
+    ) -> Union[RunRecord, dict]:
+        """Drive one unit through the worker; return its record (a
+        :class:`RunSpec`) or verdict (a :class:`ProgramSpec`).
 
         *deadline* bounds the unit's wall clock (the worker arms an
         in-process watchdog at 80% of it, so simulator hangs die with a
@@ -391,6 +401,15 @@ class WorkerHandle:
                         f"worker {self.worker_id} answered request "
                         f"{frame.get('id')!r}, expected {request_id}"
                     )
+                if isinstance(spec, ProgramSpec):
+                    verdict = frame.get("verdict")
+                    if not isinstance(verdict, dict):
+                        raise ProtocolDesync(
+                            f"worker {self.worker_id} returned no verdict "
+                            f"for {spec.describe()}"
+                        )
+                    self.units_served += 1
+                    return verdict
                 try:
                     record = record_from_dict(frame["record"])
                 except (KeyError, ReproError) as err:
@@ -451,15 +470,13 @@ class WorkerHandle:
 # Worker side
 # ----------------------------------------------------------------------
 def _serve_unit(out, frame: dict) -> None:
-    """Simulate one run frame and answer with a result or error frame."""
+    """Serve one run frame and answer with a result or error frame."""
     from repro.experiments.faults import apply_pool_fault
-    from repro.experiments.runner import Runner
-    from repro.scor.apps.registry import app_by_name
 
     request_id = frame.get("id")
     try:
-        spec = RunSpec.from_dict(frame["spec"])
-    except (KeyError, ReproError) as err:
+        spec = unit_from_dict(frame["spec"])
+    except (KeyError, ValueError, ReproError) as err:
         write_frame(out, {
             "type": "error", "id": request_id,
             "code": "config", "message": f"bad spec: {err}",
@@ -494,20 +511,15 @@ def _serve_unit(out, frame: dict) -> None:
             "cycle": beat.cycle,
         })
 
-    def guard_factory():
+    def guard_factory(check_interval=GuardConfig.check_interval):
         return Watchdog(
             GuardConfig(
                 deadline_seconds=float(deadline) if deadline else None,
                 heartbeat_seconds=beat_every,
+                check_interval=check_interval,
             ),
             on_heartbeat=on_heartbeat,
         )
-
-    flight = None
-    if frame.get("flight"):
-        from repro.telemetry.flight import FlightConfig
-
-        flight = FlightConfig.from_dict(frame["flight"])
 
     try:
         # Injected faults strike after the unit is dispatched — exactly
@@ -515,22 +527,18 @@ def _serve_unit(out, frame: dict) -> None:
         apply_pool_fault(
             frame.get("fault"), out, request_id, beat_every, guard_factory
         )
-        log_event("unit-start", detector=spec.detector, seed=spec.seed)
-        # A fresh Runner per unit: the warm worker's Nth unit sees the
-        # same state a cold subprocess would (determinism parity).
-        runner = Runner(
-            verbose=False,
-            guard_factory=guard_factory,
-            flight=flight,
-            forensics_dir=frame.get("forensics_dir"),
-        )
-        record = runner.run(
-            app_by_name(spec.app),
-            detector=spec.detector,
-            memory=spec.memory,
-            races=spec.races,
-            seed=spec.seed,
-        )
+        if isinstance(spec, ProgramSpec):
+            # Imports repro.fuzz and repro.mc on the first program unit:
+            # a worker that only runs campaign units never loads them.
+            from repro.fuzz.oracles import unit_verdict
+
+            # One watchdog for the unit: every GPU the oracle builds
+            # beats through it and shares its deadline.
+            answer = {"verdict": unit_verdict(
+                spec, guard_factory(PROGRAM_CHECK_INTERVAL)
+            )}
+        else:
+            answer = _run_campaign_unit(spec, frame, guard_factory, log_event)
     except ReproError as err:
         write_frame(out, {
             "type": "error", "id": request_id,
@@ -551,6 +559,36 @@ def _serve_unit(out, frame: dict) -> None:
             "message": f"{type(err).__name__}: {err}",
         })
         return
+    write_frame(out, {"type": "result", "id": request_id, **answer})
+
+
+def _run_campaign_unit(spec: RunSpec, frame: dict, guard_factory,
+                       log_event) -> dict:
+    """Simulate one campaign unit; its result-frame fields."""
+    from repro.experiments.runner import Runner
+    from repro.scor.apps.registry import app_by_name
+
+    flight = None
+    if frame.get("flight"):
+        from repro.telemetry.flight import FlightConfig
+
+        flight = FlightConfig.from_dict(frame["flight"])
+    log_event("unit-start", detector=spec.detector, seed=spec.seed)
+    # A fresh Runner per unit: the warm worker's Nth unit sees the
+    # same state a cold subprocess would (determinism parity).
+    runner = Runner(
+        verbose=False,
+        guard_factory=guard_factory,
+        flight=flight,
+        forensics_dir=frame.get("forensics_dir"),
+    )
+    record = runner.run(
+        app_by_name(spec.app),
+        detector=spec.detector,
+        memory=spec.memory,
+        races=spec.races,
+        seed=spec.seed,
+    )
     for entry in runner.forensics_units:
         log_event("forensics-unit", forensics_unit=entry)
     log_event(
@@ -559,10 +597,7 @@ def _serve_unit(out, frame: dict) -> None:
         race_types=sorted(t.value for t in record.race_types),
         bundles=sum(e["bundles"] for e in runner.forensics_units),
     )
-    write_frame(out, {
-        "type": "result", "id": request_id,
-        "record": record_to_dict(record),
-    })
+    return {"record": record_to_dict(record)}
 
 
 def worker_main(argv=None) -> int:

@@ -3,7 +3,7 @@
 :mod:`repro.experiments.pool` supplies the mechanism (one warm worker,
 one pipe, one unit at a time); this module supplies the policy.  A
 :class:`PoolSupervisor` is the campaign's isolated executor (same
-``execute(spec) -> RunRecord`` contract as the in-process floor,
+``execute(unit)`` contract as the in-process floor,
 :class:`~repro.experiments.campaign.InProcessExecutor`) that owns a
 fleet of workers and enforces:
 
@@ -84,7 +84,6 @@ from repro.experiments.pool import (
     DEFAULT_HEARTBEAT_SECONDS,
     WorkerHandle,
 )
-from repro.experiments.runner import RunRecord
 
 #: faults that condemn the worker (its stream or process is gone/
 #: untrustworthy); anything else in the taxonomy means the worker is
@@ -208,6 +207,10 @@ class PoolSupervisor:
     def degraded(self) -> bool:
         return self._degraded
 
+    @property
+    def closed(self) -> bool:
+        return self._closed
+
     def close(self) -> None:
         """Shut every live worker down gracefully."""
         with self._state:
@@ -228,8 +231,14 @@ class PoolSupervisor:
     # ------------------------------------------------------------------
     # The executor contract
     # ------------------------------------------------------------------
-    def execute(self, spec: RunSpec) -> RunRecord:
-        """Run *spec* to completion; raises :class:`RunFailedError`."""
+    def execute(self, spec: RunSpec):
+        """Run *spec* to completion; raises :class:`RunFailedError`.
+
+        A :class:`RunSpec` answers with its record, a
+        :class:`~repro.experiments.campaign.ProgramSpec` with its
+        verdict; both kinds live under the same timeout, retry and
+        poison rules.
+        """
         if self._closed:
             raise PoolExhausted(
                 "the pool supervisor is closed; no workers can be "

@@ -33,6 +33,14 @@ dynamic-crash /          exception is the verdict (all oracles are
 mc-crash                 deterministic, so crashes replay stably)
 =======================  ==============================================
 
+With ``mc=True`` the ``mc`` oracle runs beside the other two: its unit
+(:class:`~repro.experiments.campaign.ProgramSpec`) goes to a one-worker
+:class:`~repro.experiments.supervisor.PoolSupervisor` shared by the
+process, while the caller runs scolint and the sweep.  The pool starts on
+the first such check when the process may use two or more CPUs, and is
+closed at exit; one usable CPU or a degraded pool runs ``mc`` in-process
+after the sweep.  Both paths give the same verdicts.
+
 :func:`fuzz_campaign` drives hypothesis over the shared strategies in
 rounds: each round either exhausts the remaining example budget in
 agreement, or raises on the first *novel* disagreement so hypothesis
@@ -44,7 +52,11 @@ program twice and the budget counts unique programs.
 
 from __future__ import annotations
 
+import atexit
+import os
+import threading
 import time
+from concurrent.futures import Future
 from typing import Dict, Iterable, Optional, Sequence
 
 from hypothesis import HealthCheck, Verbosity, given
@@ -65,21 +77,97 @@ from repro.fuzz.strategies import programs
 REPORT_SCHEMA = "fuzz-report/v1"
 
 
+#: the process's mc pool (None until the first pooled check)
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def mc_pool():
+    """The process's one-worker mc pool, or None for the in-process floor.
+
+    Started on first use when the process may use two or more CPUs and
+    closed at exit; a degraded or closed pool is the floor.
+    """
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            if len(os.sched_getaffinity(0)) < 2:
+                return None
+            from repro.experiments.supervisor import PoolConfig, PoolSupervisor
+
+            _pool = PoolSupervisor(PoolConfig(workers=1))
+            atexit.register(_pool.close)
+        pool = _pool
+    if pool.degraded or pool.closed:
+        return None
+    return pool
+
+
+def _start_mc(program, budget, detector, executor) -> Optional[Future]:
+    """Send *program*'s mc unit to *executor* (default :func:`mc_pool`)
+    from a helper thread; None when the unit belongs on the floor."""
+    from repro.experiments.campaign import InProcessExecutor, ProgramSpec
+
+    if executor is None:
+        executor = mc_pool()
+    if executor is None or isinstance(executor, InProcessExecutor):
+        return None
+    unit = ProgramSpec(program, "mc", detector, budget=budget)
+    future: Future = Future()
+
+    def run() -> None:
+        try:
+            future.set_result(executor.execute(unit))
+        except BaseException as err:  # handed to the caller's thread
+            future.set_exception(err)
+
+    threading.Thread(target=run, name="mc-unit", daemon=True).start()
+    return future
+
+
+def _mc_result(future: Future) -> dict:
+    """The mc unit's verdict; a unit the pool failed is an mc crash."""
+    from repro.common.errors import ReproError, error_code
+
+    try:
+        return future.result()
+    except ReproError as err:
+        failure = getattr(err, "failure", None)
+        message = (
+            f"{failure.category}: {failure.message}"
+            if failure is not None else f"{error_code(err)}: {err}"
+        )
+        return {"error": message, "racy": None, "types": []}
+
+
 def check_program(
     program: FuzzProgram,
     seeds: Sequence[int] = DEFAULT_SEEDS,
     detector: str = "scord",
     mc: bool = False,
     mc_budget: int = DEFAULT_MC_BUDGET,
+    executor=None,
 ) -> Optional[dict]:
-    """Cross-check one program; ``None`` means all oracles agree."""
+    """Cross-check one program; ``None`` means all oracles agree.
+
+    *executor* runs the ``mc`` unit (default :func:`mc_pool`); an
+    :class:`~repro.experiments.campaign.InProcessExecutor` selects the
+    in-process floor, which calls :func:`safe_mc_verdict` after the
+    sweep.
+    """
     expected = {t.value for t in program.expected_types()}
     racy = program.racy
+    pending = (
+        _start_mc(program, mc_budget, detector, executor) if mc else None
+    )
     static = safe_static_verdict(program)
     dynamic = safe_dynamic_verdict(program, seeds, detector)
-    mc_result = (
-        safe_mc_verdict(program, mc_budget, detector) if mc else None
-    )
+    if pending is not None:
+        mc_result = _mc_result(pending)
+    elif mc:
+        mc_result = safe_mc_verdict(program, mc_budget, detector)
+    else:
+        mc_result = None
 
     kind = None
     detail = ""
@@ -164,8 +252,11 @@ def fuzz_campaign(
     mc_budget: int = DEFAULT_MC_BUDGET,
     telemetry=None,
     known_digests: Iterable[str] = (),
+    executor=None,
 ) -> dict:
     """Run a differential campaign of up to *count* unique programs.
+
+    *executor* is :func:`check_program`'s: where ``mc`` units run.
 
     Existing corpus entries under *corpus_dir* (and *known_digests*)
     are masked: re-finding a known minimal program is not a new
@@ -195,7 +286,9 @@ def fuzz_campaign(
             return None
         if digest in memo:
             return memo[digest]
-        result = check_program(program, seeds, detector, mc, mc_budget)
+        result = check_program(
+            program, seeds, detector, mc, mc_budget, executor
+        )
         memo[digest] = result
         tally["racy" if program.racy else "race_free"] += 1
         _count(telemetry, "fuzz.examples")

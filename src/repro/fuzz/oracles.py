@@ -14,6 +14,11 @@ sweep unions what any schedule surfaced.  The mc verdict (PR 9) is a
 bounded DPOR exploration (:mod:`repro.mc`): instead of sampling
 schedules it *enumerates* them, so ``racy`` carries a verdict field
 that says whether the answer is proven or merely budget-limited.
+
+The dynamic and mc oracles take an optional *guard*
+(:class:`~repro.common.guard.Watchdog`), armed in every GPU they build:
+a pool worker's watchdog beats from inside each simulation and enforces
+the unit's deadline, whose expiry is a unit timeout, never a verdict.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from __future__ import annotations
 from typing import Sequence, Tuple
 
 from repro.arch.config import GPUConfig
+from repro.common.errors import WatchdogTimeout
 from repro.fuzz.program import FuzzProgram, run_program
 
 #: default schedule-jitter sweep (seed 0 = the unperturbed schedule)
@@ -56,6 +62,7 @@ def dynamic_verdict(
     program: FuzzProgram,
     seeds: Sequence[int] = DEFAULT_SEEDS,
     detector: str = "scord",
+    guard=None,
 ) -> dict:
     """Dynamic ScoRD over a schedule-jitter seed sweep of *program*."""
     from repro.engine.gpu import GPU
@@ -64,7 +71,10 @@ def dynamic_verdict(
     by_seed = {}
     union = set()
     for seed in seeds:
-        gpu = GPU(config=_config(), detector_config=DETECTORS[detector])
+        gpu = GPU(
+            config=_config(), detector_config=DETECTORS[detector],
+            guard=guard,
+        )
         run_program(gpu, program, jitter_seed=seed)
         types = sorted({r.race_type.value for r in gpu.races.unique_races})
         by_seed[str(seed)] = types
@@ -82,6 +92,7 @@ def mc_verdict(
     program: FuzzProgram,
     budget: int = DEFAULT_MC_BUDGET,
     detector: str = "scord",
+    guard=None,
 ) -> dict:
     """Bounded DPOR schedule enumeration of *program* (the third
     oracle).  ``racy=True`` is always conclusive (a witness schedule
@@ -92,7 +103,7 @@ def mc_verdict(
     from repro.mc.explorer import explore
     from repro.mc.targets import target_from_program
 
-    target = target_from_program(program, detector=detector)
+    target = target_from_program(program, detector=detector, guard=guard)
     report = explore(target, budget=budget, stop_on_race=True)
     return {
         "racy": report["racy"],
@@ -110,6 +121,8 @@ def mc_verdict(
 def _safe(fn, *args, **kwargs) -> dict:
     try:
         return fn(*args, **kwargs)
+    except WatchdogTimeout:
+        raise  # the unit's deadline, not the program's verdict
     except Exception as exc:  # noqa: BLE001 — oracle crash IS the finding
         return {
             "error": f"{type(exc).__name__}: {exc}",
@@ -130,15 +143,17 @@ def safe_dynamic_verdict(
     program: FuzzProgram,
     seeds: Sequence[int] = DEFAULT_SEEDS,
     detector: str = "scord",
+    guard=None,
 ) -> dict:
     """:func:`dynamic_verdict` with crashes folded in (see above)."""
-    return _safe(dynamic_verdict, program, seeds, detector)
+    return _safe(dynamic_verdict, program, seeds, detector, guard)
 
 
 def safe_mc_verdict(
     program: FuzzProgram,
     budget: int = DEFAULT_MC_BUDGET,
     detector: str = "scord",
+    guard=None,
 ) -> dict:
     """:func:`mc_verdict` with crashes folded in (see above).
 
@@ -146,4 +161,15 @@ def safe_mc_verdict(
     those into the report's ``errors`` count; only a failure of the
     exploration machinery itself produces an ``{"error": ...}``
     verdict."""
-    return _safe(mc_verdict, program, budget, detector)
+    return _safe(mc_verdict, program, budget, detector, guard)
+
+
+def unit_verdict(unit, guard=None) -> dict:
+    """The verdict of one program unit
+    (:class:`~repro.experiments.campaign.ProgramSpec`): its oracle run,
+    crashes folded in, under *guard*."""
+    if unit.oracle == "mc":
+        return safe_mc_verdict(unit.program, unit.budget, unit.detector, guard)
+    return safe_dynamic_verdict(
+        unit.program, (unit.seed,), unit.detector, guard
+    )

@@ -42,7 +42,7 @@ import os
 import time
 from typing import Dict, List, Optional, Tuple
 
-from repro.common.errors import ReproError, error_code
+from repro.common.errors import ReproError, WatchdogTimeout, error_code
 from repro.mc.control import FAIR, ScheduleControl
 from repro.mc.dpor import analyze, naive_estimate
 
@@ -192,6 +192,8 @@ def _run_one(target, prefix, policy, sleep_seed) -> _RunOutcome:
     error = None
     try:
         gpu = target.execute(control)
+    except WatchdogTimeout:
+        raise  # the exploration's deadline, not this schedule's fault
     except ReproError as err:
         error = f"{error_code(err)}: {err}"
     race_types: List[str] = []
@@ -249,7 +251,12 @@ def _witness_decisions(control: ScheduleControl) -> List[int]:
 
 
 def _add_backtracks(state: _State, control: ScheduleControl) -> None:
-    """Fold one trace's reversible races into the nodes' backtrack sets."""
+    """Fold one trace's reversible races into the nodes' backtrack sets.
+
+    Not called on a racing run under ``stop_on_race``: that run ends the
+    exploration (a ``race`` finish is final on resume), so nothing would
+    read the sets.
+    """
     races = analyze(control.steps)
     if not races:
         return
@@ -416,7 +423,8 @@ def explore(
                 if len(control.choices) > len(state.nodes):
                     state.frontier_truncated = True
                 state.max_depth = len(state.nodes)
-                _add_backtracks(state, control)
+                if not (stop_on_race and outcome.race_types):
+                    _add_backtracks(state, control)
             _record_run(state, outcome, "fair")
             checkpoint()
             continue
@@ -456,7 +464,8 @@ def explore(
                 if len(control.choices) > len(state.nodes):
                     state.frontier_truncated = True
                 state.max_depth = max(state.max_depth, len(state.nodes))
-                _add_backtracks(state, control)
+                if not (stop_on_race and outcome.race_types):
+                    _add_backtracks(state, control)
         else:
             # The forced branch never reached its choice point (the run
             # errored first); mark it explored so the frontier drains.

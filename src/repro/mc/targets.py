@@ -113,8 +113,11 @@ def resolve_target(
     )
 
 
-def target_from_program(program, detector: str = "scord") -> McTarget:
-    """Wrap a fuzz program (known ground truth) as an mc target."""
+def target_from_program(
+    program, detector: str = "scord", guard=None
+) -> McTarget:
+    """Wrap a fuzz program (known ground truth) as an mc target; every
+    schedule's GPU runs under *guard* when one is given."""
     from repro.fuzz.oracles import _config
     from repro.fuzz.program import program_digest, run_program
     from repro.engine.gpu import GPU
@@ -127,6 +130,7 @@ def target_from_program(program, detector: str = "scord") -> McTarget:
             detector_config=detector_config,
             telemetry=_mc_telemetry(),
             schedule_control=control,
+            guard=guard,
         )
         run_program(gpu, program)
         return gpu

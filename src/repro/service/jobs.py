@@ -11,9 +11,10 @@
   :class:`~repro.experiments.parallel.ResultCache` and the
   :class:`~repro.experiments.store.RunStore` behave exactly as offline,
   and service records are identical to offline records.  Program units
-  run the fuzzer's dynamic oracle in the daemon (one schedule-jitter
-  seed per unit), memoized under
-  :func:`repro.fuzz.program.fuzz_unit_digest`.
+  (:class:`~repro.experiments.campaign.ProgramSpec`, one schedule-jitter
+  seed of the fuzzer's dynamic oracle each) run on the same pool as
+  campaign units, under the same timeout, retry and poison rules, and
+  are memoized under :func:`repro.fuzz.program.fuzz_unit_digest`.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from concurrent.futures import CancelledError
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import RunFailedError
+from repro.experiments.campaign import ProgramSpec, RunFailure
 from repro.service.quota import QuotaManager
 from repro.service.schemas import (
     JOB_SCHEMA,
@@ -362,12 +364,16 @@ class JobManager:
         ):
             if job.kind == "campaign":
                 return self.scheduler.execute(job.specs[index])
-            from repro.fuzz.oracles import dynamic_verdict
-
-            return dynamic_verdict(
-                job.program, seeds=(job.seeds[index],),
-                detector=job.detector,
+            unit = _program_unit(job, index)
+            verdict = self.scheduler.execute(unit)
+        if "error" in verdict:
+            # The program crashed the simulator: a failed unit, not a
+            # verdict, so a resubmission runs it again.
+            failure = RunFailure(unit, "simulation", verdict["error"], 1)
+            raise RunFailedError(
+                f"{unit.describe()}: {verdict['error']}", failure=failure
             )
+        return verdict
 
     def _record(
         self, job: Job, index: int, digest: str, source: str, future,
@@ -498,12 +504,16 @@ def _unit_digest(job: Job, index: int) -> str:
     return fuzz_unit_digest(job.program, job.detector, job.seeds[index])
 
 
+def _program_unit(job: Job, index: int) -> ProgramSpec:
+    return ProgramSpec(
+        job.program, "dynamic", job.detector, seed=job.seeds[index]
+    )
+
+
 def _unit_label(job: Job, index: int) -> str:
     if job.kind == "campaign":
         return job.specs[index].describe()
-    from repro.fuzz.program import program_digest
-
-    return f"program:{program_digest(job.program)[:12]}.s{job.seeds[index]}"
+    return _program_unit(job, index).describe()
 
 
 def _union_verdict(units: List[Optional[dict]]) -> dict:

@@ -5,7 +5,10 @@ Tier-1 pins the verdict shape on known programs and exercises every
 honest oracle agrees with construction across the grammar, so lies are
 the only way to reach those branches) — including the full campaign
 loop: the lie must be found, shrunk, persisted with its mc verdict,
-masked, and flagged by corpus replay against the honest oracle.
+masked, and flagged by corpus replay against the honest oracle.  A
+pool worker cannot see a monkeypatch, so the lying tests pass the
+in-process floor (``executor=FLOOR``), where ``check_program`` calls
+``differential.safe_mc_verdict`` itself.
 
 The ``mc``-marked tier at the bottom runs the honest three-way
 comparison at scale.
@@ -29,6 +32,7 @@ from repro.fuzz import (
     load_corpus,
     replay_entry,
 )
+from repro.experiments.campaign import InProcessExecutor
 from repro.fuzz.oracles import DEFAULT_MC_BUDGET, mc_verdict, safe_mc_verdict
 from repro.fuzz.strategies import programs
 
@@ -38,6 +42,8 @@ CLEAN = FuzzProgram(2, 2, (
 RACY = FuzzProgram(2, 2, (
     Phase(PhaseKind.MUTEX, Actor(0, 0), Actor(1, 0), Bug.SKIP_SYNC),
 ))
+#: the in-process floor: the mc oracle runs in this interpreter
+FLOOR = InProcessExecutor()
 
 
 # ----------------------------------------------------------------------
@@ -96,7 +102,7 @@ def test_mc_false_positive_is_classified(monkeypatch):
         differential, "safe_mc_verdict",
         lambda *a, **k: _verdict(True, "proven_racy", ["lock"]),
     )
-    result = check_program(CLEAN, mc=True)
+    result = check_program(CLEAN, mc=True, executor=FLOOR)
     assert result["kind"] == "mc-false-positive"
     assert result["mc"]["racy"]
 
@@ -106,7 +112,7 @@ def test_mc_proven_race_free_on_racy_code_is_a_miss(monkeypatch):
         differential, "safe_mc_verdict",
         lambda *a, **k: _verdict(False, "proven_race_free", []),
     )
-    result = check_program(RACY, mc=True)
+    result = check_program(RACY, mc=True, executor=FLOOR)
     assert result["kind"] == "mc-miss"
 
 
@@ -115,7 +121,7 @@ def test_budget_exhausted_is_an_abstention_not_a_miss(monkeypatch):
         differential, "safe_mc_verdict",
         lambda *a, **k: _verdict(False, "budget_exhausted", []),
     )
-    assert check_program(RACY, mc=True) is None
+    assert check_program(RACY, mc=True, executor=FLOOR) is None
 
 
 def test_mc_unexpected_type_is_classified(monkeypatch):
@@ -125,7 +131,7 @@ def test_mc_unexpected_type_is_classified(monkeypatch):
             True, "proven_racy", ["not-a-real-type"]
         ),
     )
-    result = check_program(RACY, mc=True)
+    result = check_program(RACY, mc=True, executor=FLOOR)
     assert result["kind"] == "mc-unexpected-type"
 
 
@@ -135,7 +141,7 @@ def test_mc_crash_is_classified(monkeypatch):
         lambda *a, **k: {"error": "SimulationError: boom",
                          "racy": None, "types": []},
     )
-    result = check_program(RACY, mc=True)
+    result = check_program(RACY, mc=True, executor=FLOOR)
     assert result["kind"] == "mc-crash"
     assert "boom" in result["detail"]
 
@@ -164,7 +170,9 @@ def test_campaign_shrinks_persists_and_masks_an_mc_lie(
 ):
     monkeypatch.setattr(differential, "safe_mc_verdict", _lying_mc)
     corpus = tmp_path / "corpus"
-    report = fuzz_campaign(count=40, seed=0, corpus_dir=corpus, mc=True)
+    report = fuzz_campaign(
+        count=40, seed=0, corpus_dir=corpus, mc=True, executor=FLOOR
+    )
     assert report["mc"] is True
     assert report["mc_budget"] == DEFAULT_MC_BUDGET
     kinds = [d["kind"] for d in report["disagreements"]]
@@ -187,7 +195,9 @@ def test_campaign_shrinks_persists_and_masks_an_mc_lie(
 
     # Re-running masks the now-known entry.
     monkeypatch.setattr(differential, "safe_mc_verdict", _lying_mc)
-    rerun = fuzz_campaign(count=40, seed=0, corpus_dir=corpus, mc=True)
+    rerun = fuzz_campaign(
+        count=40, seed=0, corpus_dir=corpus, mc=True, executor=FLOOR
+    )
     assert found["digest"] not in {
         d["digest"] for d in rerun["disagreements"]
     }
