@@ -103,21 +103,20 @@ def mc_pool():
     return pool
 
 
-def _start_mc(program, budget, detector, executor) -> Optional[Future]:
-    """Send *program*'s mc unit to *executor* (default :func:`mc_pool`)
-    from a helper thread; None when the unit belongs on the floor."""
-    from repro.experiments.campaign import InProcessExecutor, ProgramSpec
+def _start_mc(program, budget, detector) -> Optional[Future]:
+    """Send *program*'s mc unit to :func:`mc_pool` from a helper thread;
+    None when the unit belongs on the in-process floor."""
+    from repro.experiments.campaign import ProgramSpec
 
-    if executor is None:
-        executor = mc_pool()
-    if executor is None or isinstance(executor, InProcessExecutor):
+    pool = mc_pool()
+    if pool is None:
         return None
     unit = ProgramSpec(program, "mc", detector, budget=budget)
     future: Future = Future()
 
     def run() -> None:
         try:
-            future.set_result(executor.execute(unit))
+            future.set_result(pool.execute(unit))
         except BaseException as err:  # handed to the caller's thread
             future.set_exception(err)
 
@@ -146,20 +145,15 @@ def check_program(
     detector: str = "scord",
     mc: bool = False,
     mc_budget: int = DEFAULT_MC_BUDGET,
-    executor=None,
 ) -> Optional[dict]:
     """Cross-check one program; ``None`` means all oracles agree.
 
-    *executor* runs the ``mc`` unit (default :func:`mc_pool`); an
-    :class:`~repro.experiments.campaign.InProcessExecutor` selects the
-    in-process floor, which calls :func:`safe_mc_verdict` after the
-    sweep.
+    The ``mc`` unit runs on :func:`mc_pool`; without one, the in-process
+    floor calls :func:`safe_mc_verdict` after the sweep.
     """
     expected = {t.value for t in program.expected_types()}
     racy = program.racy
-    pending = (
-        _start_mc(program, mc_budget, detector, executor) if mc else None
-    )
+    pending = _start_mc(program, mc_budget, detector) if mc else None
     static = safe_static_verdict(program)
     dynamic = safe_dynamic_verdict(program, seeds, detector)
     if pending is not None:
@@ -252,11 +246,8 @@ def fuzz_campaign(
     mc_budget: int = DEFAULT_MC_BUDGET,
     telemetry=None,
     known_digests: Iterable[str] = (),
-    executor=None,
 ) -> dict:
     """Run a differential campaign of up to *count* unique programs.
-
-    *executor* is :func:`check_program`'s: where ``mc`` units run.
 
     Existing corpus entries under *corpus_dir* (and *known_digests*)
     are masked: re-finding a known minimal program is not a new
@@ -286,9 +277,7 @@ def fuzz_campaign(
             return None
         if digest in memo:
             return memo[digest]
-        result = check_program(
-            program, seeds, detector, mc, mc_budget, executor
-        )
+        result = check_program(program, seeds, detector, mc, mc_budget)
         memo[digest] = result
         tally["racy" if program.racy else "race_free"] += 1
         _count(telemetry, "fuzz.examples")

@@ -254,8 +254,8 @@ def _add_backtracks(state: _State, control: ScheduleControl) -> None:
     """Fold one trace's reversible races into the nodes' backtrack sets.
 
     Not called on a racing run under ``stop_on_race``: that run ends the
-    exploration (a ``race`` finish is final on resume), so nothing would
-    read the sets.
+    exploration, and its checkpoint already records the final ``race``
+    finish, so nothing would read the sets.
     """
     races = analyze(control.steps)
     if not races:
@@ -423,7 +423,9 @@ def explore(
                 if len(control.choices) > len(state.nodes):
                     state.frontier_truncated = True
                 state.max_depth = len(state.nodes)
-                if not (stop_on_race and outcome.race_types):
+                if stop_on_race and outcome.race_types:
+                    state.finish_reason = "race"
+                else:
                     _add_backtracks(state, control)
             _record_run(state, outcome, "fair")
             checkpoint()
@@ -464,7 +466,9 @@ def explore(
                 if len(control.choices) > len(state.nodes):
                     state.frontier_truncated = True
                 state.max_depth = max(state.max_depth, len(state.nodes))
-                if not (stop_on_race and outcome.race_types):
+                if stop_on_race and outcome.race_types:
+                    state.finish_reason = "race"
+                else:
                     _add_backtracks(state, control)
         else:
             # The forced branch never reached its choice point (the run

@@ -31,8 +31,6 @@ from repro.fuzz.oracles import DEFAULT_MC_BUDGET, safe_mc_verdict
 from repro.fuzz.strategies import programs
 from repro.isa.scopes import Scope
 
-FLOOR = InProcessExecutor()
-
 RACY = FuzzProgram(2, 2, (
     ProgramPhase(PhaseKind.MUTEX, Actor(0, 0), Actor(1, 0), Bug.SKIP_SYNC),
 ))
@@ -96,6 +94,19 @@ def mc_unit(program: FuzzProgram) -> ProgramSpec:
     return ProgramSpec(program, "mc", budget=DEFAULT_MC_BUDGET)
 
 
+def pooled_check(monkeypatch, supervisor, program, **kwargs):
+    """``check_program(mc=True)`` with its mc unit on *supervisor*."""
+    monkeypatch.setattr(differential, "_pool", supervisor)
+    return check_program(program, mc=True, **kwargs)
+
+
+def floor_check(monkeypatch, program, **kwargs):
+    """``check_program(mc=True)`` on the in-process floor."""
+    with monkeypatch.context() as patch:
+        patch.setattr(differential, "mc_pool", lambda: None)
+        return check_program(program, mc=True, **kwargs)
+
+
 def pool_processes() -> list:
     """Live pool-worker pids that are children of this process."""
     me = os.getpid()
@@ -132,19 +143,23 @@ def test_the_sample_covers_every_cost_class():
     "index", range(len(SAMPLE)),
     ids=[f"{cost_class(p)}-{i}" for i, p in enumerate(SAMPLE)],
 )
-def test_the_pooled_check_answers_what_the_floor_answers(pool, index):
+def test_the_pooled_check_answers_what_the_floor_answers(
+    pool, index, monkeypatch
+):
     program = SAMPLE[index]
+    before = pool.stats()["units_ok"]
     assert pool.execute(mc_unit(program)) == safe_mc_verdict(program)
-    assert check_program(program, mc=True, executor=pool) == check_program(
-        program, mc=True, executor=FLOOR
+    assert pooled_check(monkeypatch, pool, program) == floor_check(
+        monkeypatch, program
     )
+    assert pool.stats()["units_ok"] == before + 2
 
 
-def test_a_pooled_disagreement_carries_the_floor_mc_dict(pool):
+def test_a_pooled_disagreement_carries_the_floor_mc_dict(pool, monkeypatch):
     # A detector that cannot see races makes every oracle but scolint
     # miss: the classified result carries each oracle's verdict.
-    pooled = check_program(RACY, detector="none", mc=True, executor=pool)
-    floor = check_program(RACY, detector="none", mc=True, executor=FLOOR)
+    pooled = pooled_check(monkeypatch, pool, RACY, detector="none")
+    floor = floor_check(monkeypatch, RACY, detector="none")
     assert pooled["kind"] == "dynamic-miss"
     assert pooled == floor
     assert pooled["mc"] == safe_mc_verdict(RACY, detector="none")
@@ -181,12 +196,12 @@ def test_a_sigkilled_worker_is_replaced_and_the_verdict_unchanged(
     assert stats["spawned"] == 2
 
 
-def test_a_poison_unit_is_an_mc_crash_not_a_hang():
+def test_a_poison_unit_is_an_mc_crash_not_a_hang(monkeypatch):
     config = PoolConfig(workers=1, backoff_seconds=0.01)
     plan = FaultPlan.always("pool-kill", app="program")
     with PoolSupervisor(config, fault_plan=plan) as supervisor:
         started = time.monotonic()
-        result = check_program(RACY, mc=True, executor=supervisor)
+        result = pooled_check(monkeypatch, supervisor, RACY)
         assert time.monotonic() - started < 60
         stats = supervisor.stats()
     assert result["kind"] == "mc-crash"
@@ -237,8 +252,8 @@ def test_a_degraded_pool_takes_the_in_process_path(monkeypatch):
         monkeypatch.setattr(differential, "_pool", supervisor)
         assert differential.mc_pool() is None
         for program in SAMPLE[:2]:
-            assert check_program(program, mc=True) == check_program(
-                program, mc=True, executor=FLOOR
+            assert check_program(program, mc=True) == floor_check(
+                monkeypatch, program
             )
         assert spy.calls == 4
         assert supervisor.stats()["units_degraded"] == 1
@@ -253,8 +268,8 @@ def test_one_usable_cpu_takes_the_in_process_path(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     before = pool_processes()
     for program in SAMPLE[:2]:
-        assert check_program(program, mc=True) == check_program(
-            program, mc=True, executor=FLOOR
+        assert check_program(program, mc=True) == floor_check(
+            monkeypatch, program
         )
     assert spy.calls == 4
     assert differential._pool is None

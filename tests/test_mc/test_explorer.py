@@ -160,6 +160,25 @@ def test_resume_with_larger_budget_extends_exploration(tmp_path):
     assert again["verdict"] == "proven_race_free"
 
 
+def test_the_checkpoint_after_a_run_that_ends_the_exploration_is_final(
+    tmp_path, monkeypatch
+):
+    # A racing run under stop_on_race gets no DPOR analysis, so the
+    # checkpoint written right after it must already be final: a later
+    # resume must not explore from its missing backtrack sets.
+    finishes = []
+    save = explorer_mod.save_checkpoint
+
+    def spy(path, state):
+        finishes.append(state.finish_reason)
+        save(path, state)
+
+    monkeypatch.setattr(explorer_mod, "save_checkpoint", spy)
+    path = str(tmp_path / "anchor.mc.json")
+    explore(resolve_target(RACY_ANCHOR), budget=16, checkpoint_path=path)
+    assert finishes == ["race", "race"]
+
+
 def test_corrupt_checkpoint_is_quarantined(tmp_path, capsys):
     path = str(tmp_path / "anchor.mc.json")
     with open(path, "w") as handle:

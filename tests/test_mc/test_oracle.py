@@ -6,9 +6,9 @@ honest oracle agrees with construction across the grammar, so lies are
 the only way to reach those branches) — including the full campaign
 loop: the lie must be found, shrunk, persisted with its mc verdict,
 masked, and flagged by corpus replay against the honest oracle.  A
-pool worker cannot see a monkeypatch, so the lying tests pass the
-in-process floor (``executor=FLOOR``), where ``check_program`` calls
-``differential.safe_mc_verdict`` itself.
+pool worker cannot see a monkeypatch, so the lying tests also patch
+``differential.mc_pool`` to return None: on that in-process floor
+``check_program`` calls ``differential.safe_mc_verdict`` itself.
 
 The ``mc``-marked tier at the bottom runs the honest three-way
 comparison at scale.
@@ -32,7 +32,6 @@ from repro.fuzz import (
     load_corpus,
     replay_entry,
 )
-from repro.experiments.campaign import InProcessExecutor
 from repro.fuzz.oracles import DEFAULT_MC_BUDGET, mc_verdict, safe_mc_verdict
 from repro.fuzz.strategies import programs
 
@@ -42,8 +41,12 @@ CLEAN = FuzzProgram(2, 2, (
 RACY = FuzzProgram(2, 2, (
     Phase(PhaseKind.MUTEX, Actor(0, 0), Actor(1, 0), Bug.SKIP_SYNC),
 ))
-#: the in-process floor: the mc oracle runs in this interpreter
-FLOOR = InProcessExecutor()
+
+
+def _lie(monkeypatch, oracle):
+    """Make *oracle* the mc oracle, run in this interpreter."""
+    monkeypatch.setattr(differential, "mc_pool", lambda: None)
+    monkeypatch.setattr(differential, "safe_mc_verdict", oracle)
 
 
 # ----------------------------------------------------------------------
@@ -98,50 +101,50 @@ def _verdict(racy, verdict, types):
 
 
 def test_mc_false_positive_is_classified(monkeypatch):
-    monkeypatch.setattr(
-        differential, "safe_mc_verdict",
+    _lie(
+        monkeypatch,
         lambda *a, **k: _verdict(True, "proven_racy", ["lock"]),
     )
-    result = check_program(CLEAN, mc=True, executor=FLOOR)
+    result = check_program(CLEAN, mc=True)
     assert result["kind"] == "mc-false-positive"
     assert result["mc"]["racy"]
 
 
 def test_mc_proven_race_free_on_racy_code_is_a_miss(monkeypatch):
-    monkeypatch.setattr(
-        differential, "safe_mc_verdict",
+    _lie(
+        monkeypatch,
         lambda *a, **k: _verdict(False, "proven_race_free", []),
     )
-    result = check_program(RACY, mc=True, executor=FLOOR)
+    result = check_program(RACY, mc=True)
     assert result["kind"] == "mc-miss"
 
 
 def test_budget_exhausted_is_an_abstention_not_a_miss(monkeypatch):
-    monkeypatch.setattr(
-        differential, "safe_mc_verdict",
+    _lie(
+        monkeypatch,
         lambda *a, **k: _verdict(False, "budget_exhausted", []),
     )
-    assert check_program(RACY, mc=True, executor=FLOOR) is None
+    assert check_program(RACY, mc=True) is None
 
 
 def test_mc_unexpected_type_is_classified(monkeypatch):
-    monkeypatch.setattr(
-        differential, "safe_mc_verdict",
+    _lie(
+        monkeypatch,
         lambda *a, **k: _verdict(
             True, "proven_racy", ["not-a-real-type"]
         ),
     )
-    result = check_program(RACY, mc=True, executor=FLOOR)
+    result = check_program(RACY, mc=True)
     assert result["kind"] == "mc-unexpected-type"
 
 
 def test_mc_crash_is_classified(monkeypatch):
-    monkeypatch.setattr(
-        differential, "safe_mc_verdict",
+    _lie(
+        monkeypatch,
         lambda *a, **k: {"error": "SimulationError: boom",
                          "racy": None, "types": []},
     )
-    result = check_program(RACY, mc=True, executor=FLOOR)
+    result = check_program(RACY, mc=True)
     assert result["kind"] == "mc-crash"
     assert "boom" in result["detail"]
 
@@ -168,11 +171,9 @@ def _lying_mc(program, budget=DEFAULT_MC_BUDGET, detector="scord"):
 def test_campaign_shrinks_persists_and_masks_an_mc_lie(
     tmp_path, monkeypatch
 ):
-    monkeypatch.setattr(differential, "safe_mc_verdict", _lying_mc)
+    _lie(monkeypatch, _lying_mc)
     corpus = tmp_path / "corpus"
-    report = fuzz_campaign(
-        count=40, seed=0, corpus_dir=corpus, mc=True, executor=FLOOR
-    )
+    report = fuzz_campaign(count=40, seed=0, corpus_dir=corpus, mc=True)
     assert report["mc"] is True
     assert report["mc_budget"] == DEFAULT_MC_BUDGET
     kinds = [d["kind"] for d in report["disagreements"]]
@@ -194,10 +195,8 @@ def test_campaign_shrinks_persists_and_masks_an_mc_lie(
     assert any("mc" in problem for problem in problems)
 
     # Re-running masks the now-known entry.
-    monkeypatch.setattr(differential, "safe_mc_verdict", _lying_mc)
-    rerun = fuzz_campaign(
-        count=40, seed=0, corpus_dir=corpus, mc=True, executor=FLOOR
-    )
+    _lie(monkeypatch, _lying_mc)
+    rerun = fuzz_campaign(count=40, seed=0, corpus_dir=corpus, mc=True)
     assert found["digest"] not in {
         d["digest"] for d in rerun["disagreements"]
     }

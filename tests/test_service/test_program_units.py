@@ -72,6 +72,41 @@ def test_an_overrunning_program_unit_times_out_and_its_worker_is_replaced(
     assert supervisor.stats()["spawned"] == stats["spawned"] + 1
 
 
+class _CrashingOnce(InProcessExecutor):
+    """Answers its first unit with a simulator-crash verdict."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def execute(self, spec):
+        self.calls += 1
+        if self.calls == 1:
+            return {"error": "SimulationError: boom", "racy": None,
+                    "types": []}
+        return super().execute(spec)
+
+
+def test_a_crash_verdict_fails_the_unit_and_a_resubmission_reruns_it(
+    managers,
+):
+    manager = managers(workers=1, dispatchers=1)
+    executor = manager.scheduler.executor = _CrashingOnce()
+    job = manager.submit("alice", program_job(CLEAN, [0]))
+    assert manager.scheduler.drain(timeout=60)
+    assert job.state == "failed"
+    failure = job.results[0]["failure"]
+    assert failure["category"] == "simulation"
+    assert failure["app"] == "program"
+    assert "boom" in failure["message"]
+
+    again = manager.submit("alice", program_job(CLEAN, [0]))
+    assert manager.scheduler.drain(timeout=60)
+    assert again.state == "done"
+    assert executor.calls == 2
+    assert again.results[0]["verdict"] == dynamic_verdict(CLEAN, (0,))
+
+
 def test_a_program_verdict_is_the_same_on_the_pool_and_in_process(
     managers,
 ):
