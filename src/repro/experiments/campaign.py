@@ -7,8 +7,8 @@ executor shares:
 
 * :class:`RunSpec` — one simulation request, serializable across the
   worker boundary, and its sibling :class:`ProgramSpec` — one fuzz
-  program under one oracle run (a jitter seed of the dynamic sweep, or
-  a bounded ``mc`` exploration);
+  program under one oracle run (one dynamic ScoRD run, or a bounded
+  ``mc`` exploration);
 * :class:`RunFailure` — a run that failed permanently (retries
   exhausted), which exhibits render as ``FAILED(reason)`` cells and the
   CLI collects into a failure manifest;
@@ -127,22 +127,22 @@ class RunSpec:
 class ProgramSpec:
     """One fuzz program and one oracle run, serializable like RunSpec.
 
-    ``oracle`` is ``"dynamic"`` (ScoRD at jitter seed ``seed``) or
-    ``"mc"`` (bounded DPOR at ``budget`` schedules).  The answer is the
+    ``oracle`` is ``"dynamic"`` (one ScoRD run on the native schedule)
+    or ``"mc"`` (bounded DPOR at ``budget`` schedules).  The answer is the
     oracle's verdict dict, crashes folded in (:func:`repro.fuzz.oracles.
     unit_verdict`).  Fault rules and failure entries see every program
-    unit as the app ``program``.
+    unit as the app ``program``, with no seed.
     """
 
     program: object  #: a :class:`repro.fuzz.program.FuzzProgram`
     oracle: str = "dynamic"
     detector: str = "scord"
-    seed: int = 0
     budget: int = 0
 
     app: ClassVar[str] = "program"
     memory: ClassVar[str] = "default"
     races: ClassVar[Tuple[str, ...]] = ()
+    seed: ClassVar[Optional[int]] = None
 
     def __post_init__(self):
         if self.oracle not in ("dynamic", "mc"):
@@ -151,10 +151,10 @@ class ProgramSpec:
     def describe(self) -> str:
         from repro.fuzz.program import program_digest
 
-        run = f"mc.b{self.budget}" if self.oracle == "mc" else f"s{self.seed}"
+        run = f".mc.b{self.budget}" if self.oracle == "mc" else ""
         return (
             f"program:{program_digest(self.program)[:12]}"
-            f"/{self.detector}.{run}"
+            f"/{self.detector}{run}"
         )
 
     def key(self):
@@ -168,7 +168,6 @@ class ProgramSpec:
             "program": self.program.to_dict(),
             "oracle": self.oracle,
             "detector": self.detector,
-            "seed": self.seed,
             "budget": self.budget,
         }
 
@@ -184,7 +183,6 @@ class ProgramSpec:
             program=FuzzProgram.from_dict(payload["program"]),
             oracle=payload.get("oracle", "dynamic"),
             detector=payload.get("detector", "scord"),
-            seed=int(payload.get("seed", 0)),
             budget=int(payload.get("budget", 0)),
         )
 

@@ -13,8 +13,9 @@ replayable regression program:
 * :mod:`repro.fuzz.strategies` — hypothesis strategies over the IR (the
   single program-synthesis source of truth, shared with the property
   tests);
-* :mod:`repro.fuzz.oracles` — uniform verdict extraction from scolint
-  and from dynamic ScoRD under a schedule-jitter seed sweep;
+* :mod:`repro.fuzz.oracles` — uniform verdict extraction from scolint,
+  from one dynamic ScoRD run on the native schedule, and from bounded
+  ``mc`` schedule enumeration;
 * :mod:`repro.fuzz.differential` — the fuzz campaign: generate, check,
   shrink disagreements with hypothesis, persist them;
 * :mod:`repro.fuzz.corpus` — the replayable corpus under

@@ -46,11 +46,6 @@ def fuzz_main(argv) -> int:
         "once exceeded (default: none)",
     )
     parser.add_argument(
-        "--sweep-seeds", default="0,1,2", metavar="S0,S1,...",
-        help="schedule-jitter seeds for the dynamic sweep "
-        "(default 0,1,2; seed 0 is the unperturbed schedule)",
-    )
-    parser.add_argument(
         "--detector", default="scord", metavar="LABEL",
         help="dynamic detector configuration label (default scord)",
     )
@@ -86,14 +81,6 @@ def fuzz_main(argv) -> int:
     args = parser.parse_args(argv)
     if args.count < 0:
         parser.error("--count must be >= 0")
-    try:
-        sweep = tuple(
-            int(part) for part in args.sweep_seeds.split(",") if part != ""
-        )
-    except ValueError:
-        parser.error("--sweep-seeds must be comma-separated integers")
-    if not sweep:
-        parser.error("--sweep-seeds must name at least one seed")
 
     from repro.experiments.runner import DETECTORS
     from repro.fuzz.differential import fuzz_campaign
@@ -122,7 +109,6 @@ def fuzz_main(argv) -> int:
         seed=args.seed,
         corpus_dir=args.corpus,
         time_budget=args.time_budget,
-        seeds=sweep,
         detector=args.detector,
         mc=mc,
         mc_budget=mc_budget,
@@ -166,8 +152,7 @@ def _render(report: dict) -> str:
         f"programs evaluated: {report['examples']} "
         f"({report['racy']} racy, {report['race_free']} race-free; "
         f"budget {report['count']}, seed {report['seed']})",
-        f"dynamic sweep: detector={report['detector']} "
-        f"seeds={report['sweep_seeds']}"
+        f"dynamic oracle: detector={report['detector']}"
         + (f"; mc oracle on (budget {report['mc_budget']})"
            if report.get("mc") else ""),
         f"rounds: {report['rounds']}"

@@ -29,13 +29,9 @@ from __future__ import annotations
 
 import json
 import os
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
-from repro.fuzz.oracles import (
-    DEFAULT_SEEDS,
-    safe_dynamic_verdict,
-    safe_static_verdict,
-)
+from repro.fuzz.oracles import safe_dynamic_verdict, safe_static_verdict
 from repro.fuzz.program import FuzzProgram, program_digest
 
 CORPUS_SCHEMA = "fuzz-corpus/v1"
@@ -56,7 +52,6 @@ def make_entry(
     program: FuzzProgram,
     kind: str,
     note: str = "",
-    seeds: Sequence[int] = DEFAULT_SEEDS,
     detector: str = "scord",
     static: Optional[dict] = None,
     dynamic: Optional[dict] = None,
@@ -78,7 +73,7 @@ def make_entry(
         "static": (static if static is not None
                    else safe_static_verdict(program)),
         "dynamic": (dynamic if dynamic is not None
-                    else safe_dynamic_verdict(program, seeds, detector)),
+                    else safe_dynamic_verdict(program, detector)),
     }
     if mc is not None:
         entry["mc"] = mc
@@ -158,9 +153,7 @@ def replay_entry(entry: dict) -> List[str]:
         )
     recorded = entry["dynamic"]
     dynamic = safe_dynamic_verdict(
-        program,
-        seeds=recorded.get("seeds", DEFAULT_SEEDS),
-        detector=recorded.get("detector", "scord"),
+        program, detector=recorded.get("detector", "scord")
     )
     if canonical_json(dynamic) != canonical_json(recorded):
         problems.append(

@@ -1,9 +1,9 @@
 """The differential fuzz campaign: generate, cross-check, shrink, persist.
 
 :func:`check_program` is the differential comparison for ONE program:
-ground truth (by construction) vs scolint vs dynamic ScoRD under a
-schedule-jitter seed sweep — plus, with ``mc=True``, bounded DPOR
-schedule enumeration (:mod:`repro.mc`) as a third oracle.  It returns
+ground truth (by construction) vs scolint vs one dynamic ScoRD run on
+the native schedule — plus, with ``mc=True``, bounded DPOR schedule
+enumeration (:mod:`repro.mc`) as a third oracle.  It returns
 ``None`` on agreement or a classified disagreement:
 
 =======================  ==============================================
@@ -14,9 +14,9 @@ static-miss              scolint passes a program that is racy
 static-type-mismatch     scolint is racy but labels ≠ expected labels
                          (scolint is deterministic and per-phase
                          complete, so the match is exact set equality)
-dynamic-false-positive   any swept schedule reports on race-free code
-dynamic-miss             no swept schedule reports on racy code
-dynamic-unexpected-type  a schedule reports a label outside the
+dynamic-false-positive   the ScoRD run reports on race-free code
+dynamic-miss             the ScoRD run reports nothing on racy code
+dynamic-unexpected-type  the ScoRD run reports a label outside the
                          expected set (subset match only: a dynamic
                          detector may legitimately see a race through
                          fewer classes than injected)
@@ -36,10 +36,10 @@ mc-crash                 deterministic, so crashes replay stably)
 With ``mc=True`` the ``mc`` oracle runs beside the other two: its unit
 (:class:`~repro.experiments.campaign.ProgramSpec`) goes to a one-worker
 :class:`~repro.experiments.supervisor.PoolSupervisor` shared by the
-process, while the caller runs scolint and the sweep.  The pool starts on
-the first such check when the process may use two or more CPUs, and is
-closed at exit; one usable CPU or a degraded pool runs ``mc`` in-process
-after the sweep.  Both paths give the same verdicts.
+process, while the caller runs scolint and the ScoRD run.  The pool
+starts on the first such check when the process may use two or more
+CPUs, and is closed at exit; one usable CPU or a degraded pool runs
+``mc`` in-process after the ScoRD run.  Both paths give the same verdicts.
 
 :func:`fuzz_campaign` drives hypothesis over the shared strategies in
 rounds: each round either exhausts the remaining example budget in
@@ -57,7 +57,7 @@ import os
 import threading
 import time
 from concurrent.futures import Future
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Iterable, Optional
 
 from hypothesis import HealthCheck, Verbosity, given
 from hypothesis import seed as hypothesis_seed
@@ -66,7 +66,6 @@ from hypothesis import settings as hypothesis_settings
 from repro.fuzz.corpus import load_corpus, make_entry, record_entry
 from repro.fuzz.oracles import (
     DEFAULT_MC_BUDGET,
-    DEFAULT_SEEDS,
     safe_dynamic_verdict,
     safe_mc_verdict,
     safe_static_verdict,
@@ -141,7 +140,6 @@ def _mc_result(future: Future) -> dict:
 
 def check_program(
     program: FuzzProgram,
-    seeds: Sequence[int] = DEFAULT_SEEDS,
     detector: str = "scord",
     mc: bool = False,
     mc_budget: int = DEFAULT_MC_BUDGET,
@@ -149,13 +147,13 @@ def check_program(
     """Cross-check one program; ``None`` means all oracles agree.
 
     The ``mc`` unit runs on :func:`mc_pool`; without one, the in-process
-    floor calls :func:`safe_mc_verdict` after the sweep.
+    floor calls :func:`safe_mc_verdict` after the ScoRD run.
     """
     expected = {t.value for t in program.expected_types()}
     racy = program.racy
     pending = _start_mc(program, mc_budget, detector) if mc else None
     static = safe_static_verdict(program)
-    dynamic = safe_dynamic_verdict(program, seeds, detector)
+    dynamic = safe_dynamic_verdict(program, detector)
     if pending is not None:
         mc_result = _mc_result(pending)
     elif mc:
@@ -177,8 +175,7 @@ def check_program(
             detail = f"scolint reported {static['types']} on race-free code"
         elif dynamic["racy"]:
             kind = "dynamic-false-positive"
-            detail = (f"ScoRD reported {dynamic['types']} on race-free "
-                      f"code (seeds {dynamic['seeds']})")
+            detail = f"ScoRD reported {dynamic['types']} on race-free code"
         elif mc_result is not None and mc_result["racy"]:
             kind = "mc-false-positive"
             detail = (f"explorer found a witness schedule reporting "
@@ -193,8 +190,7 @@ def check_program(
                       f"expected exactly {sorted(expected)}")
         elif not dynamic["racy"]:
             kind = "dynamic-miss"
-            detail = (f"no swept schedule (seeds {dynamic['seeds']}) "
-                      f"caught expected {sorted(expected)}")
+            detail = f"ScoRD missed expected {sorted(expected)}"
         elif set(dynamic["types"]) - expected:
             kind = "dynamic-unexpected-type"
             detail = (f"ScoRD labeled {dynamic['types']}, outside "
@@ -240,7 +236,6 @@ def fuzz_campaign(
     seed: int = 0,
     corpus_dir=None,
     time_budget: Optional[float] = None,
-    seeds: Sequence[int] = DEFAULT_SEEDS,
     detector: str = "scord",
     mc: bool = False,
     mc_budget: int = DEFAULT_MC_BUDGET,
@@ -277,7 +272,7 @@ def fuzz_campaign(
             return None
         if digest in memo:
             return memo[digest]
-        result = check_program(program, seeds, detector, mc, mc_budget)
+        result = check_program(program, detector, mc, mc_budget)
         memo[digest] = result
         tally["racy" if program.racy else "race_free"] += 1
         _count(telemetry, "fuzz.examples")
@@ -337,7 +332,6 @@ def fuzz_campaign(
                 program,
                 kind=found["kind"],
                 note=found["detail"],
-                seeds=seeds,
                 detector=detector,
                 static=found["static"],
                 dynamic=found["dynamic"],
@@ -351,7 +345,6 @@ def fuzz_campaign(
         "schema": REPORT_SCHEMA,
         "count": count,
         "seed": seed,
-        "sweep_seeds": [int(s) for s in seeds],
         "detector": detector,
         "mc": bool(mc),
         "mc_budget": int(mc_budget) if mc else None,

@@ -6,14 +6,12 @@ harness can compare them without caring which produced what:
 ``{"racy": bool, "types": [race-type value, ...]}``
 
 plus oracle-specific detail.  The static verdict is deterministic (one
-scolint pass).  The dynamic verdict is a *seed sweep*: the engine is
-deterministic per schedule, so distinct schedules come from compiling
-the program with distinct jitter seeds (a per-thread compute prologue —
-the memory behaviour, and hence the ground truth, is unchanged) and the
-sweep unions what any schedule surfaced.  The mc verdict (PR 9) is a
-bounded DPOR exploration (:mod:`repro.mc`): instead of sampling
-schedules it *enumerates* them, so ``racy`` carries a verdict field
-that says whether the answer is proven or merely budget-limited.
+scolint pass).  The dynamic verdict is one ScoRD run of the program on
+the engine's native schedule: a dynamic detector judges the one
+execution it watches.  Other schedules are the mc oracle's: a bounded
+DPOR exploration (:mod:`repro.mc`) that *enumerates* them, so its
+``racy`` carries a verdict field that says whether the answer is
+proven or merely budget-limited.
 
 The dynamic and mc oracles take an optional *guard*
 (:class:`~repro.common.guard.Watchdog`), armed in every GPU they build:
@@ -23,14 +21,9 @@ the unit's deadline, whose expiry is a unit timeout, never a verdict.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
-
 from repro.arch.config import GPUConfig
 from repro.common.errors import WatchdogTimeout
 from repro.fuzz.program import FuzzProgram, run_program
-
-#: default schedule-jitter sweep (seed 0 = the unperturbed schedule)
-DEFAULT_SEEDS: Tuple[int, ...] = (0, 1, 2)
 
 #: default schedule budget for the mc oracle — small: fuzz programs
 #: are tiny, and the fair + probe schedules plus a few DPOR reversals
@@ -59,33 +52,18 @@ def static_verdict(program: FuzzProgram) -> dict:
 
 
 def dynamic_verdict(
-    program: FuzzProgram,
-    seeds: Sequence[int] = DEFAULT_SEEDS,
-    detector: str = "scord",
-    guard=None,
+    program: FuzzProgram, detector: str = "scord", guard=None
 ) -> dict:
-    """Dynamic ScoRD over a schedule-jitter seed sweep of *program*."""
+    """One dynamic ScoRD run of *program* on its native schedule."""
     from repro.engine.gpu import GPU
     from repro.experiments.runner import DETECTORS
 
-    by_seed = {}
-    union = set()
-    for seed in seeds:
-        gpu = GPU(
-            config=_config(), detector_config=DETECTORS[detector],
-            guard=guard,
-        )
-        run_program(gpu, program, jitter_seed=seed)
-        types = sorted({r.race_type.value for r in gpu.races.unique_races})
-        by_seed[str(seed)] = types
-        union.update(types)
-    return {
-        "racy": bool(union),
-        "types": sorted(union),
-        "seeds": [int(s) for s in seeds],
-        "by_seed": by_seed,
-        "detector": detector,
-    }
+    gpu = GPU(
+        config=_config(), detector_config=DETECTORS[detector], guard=guard
+    )
+    run_program(gpu, program)
+    types = sorted({r.race_type.value for r in gpu.races.unique_races})
+    return {"racy": bool(types), "types": types, "detector": detector}
 
 
 def mc_verdict(
@@ -140,13 +118,10 @@ def safe_static_verdict(program: FuzzProgram) -> dict:
 
 
 def safe_dynamic_verdict(
-    program: FuzzProgram,
-    seeds: Sequence[int] = DEFAULT_SEEDS,
-    detector: str = "scord",
-    guard=None,
+    program: FuzzProgram, detector: str = "scord", guard=None
 ) -> dict:
     """:func:`dynamic_verdict` with crashes folded in (see above)."""
-    return _safe(dynamic_verdict, program, seeds, detector, guard)
+    return _safe(dynamic_verdict, program, detector, guard)
 
 
 def safe_mc_verdict(
@@ -170,6 +145,4 @@ def unit_verdict(unit, guard=None) -> dict:
     crashes folded in, under *guard*."""
     if unit.oracle == "mc":
         return safe_mc_verdict(unit.program, unit.budget, unit.detector, guard)
-    return safe_dynamic_verdict(
-        unit.program, (unit.seed,), unit.detector, guard
-    )
+    return safe_dynamic_verdict(unit.program, unit.detector, guard)

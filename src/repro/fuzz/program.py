@@ -29,7 +29,6 @@ import enum
 import hashlib
 from typing import Dict, Optional, Tuple
 
-from repro.common.rng import SplitMix64
 from repro.isa.scopes import Scope
 from repro.scord.races import RaceType
 
@@ -291,10 +290,8 @@ def program_digest(program: FuzzProgram) -> str:
     ).hexdigest()
 
 
-def fuzz_unit_digest(
-    program: FuzzProgram, detector: str = "scord", seed: int = 0
-) -> str:
-    """Content address of one (program, detector, schedule seed) unit.
+def fuzz_unit_digest(program: FuzzProgram, detector: str = "scord") -> str:
+    """Content address of one (program, detector) dynamic unit.
 
     Mirrors :func:`repro.experiments.store.unit_digest`: the detector
     label resolves to its full configuration before hashing (two labels
@@ -310,7 +307,6 @@ def fuzz_unit_digest(
         "schema": SCHEMA_VERSION,
         "kind": "fuzz-program",
         "program": program.to_dict(),
-        "seed": int(seed),
         "detector": dataclasses.asdict(DETECTORS[detector]),
     }
     return hashlib.sha256(
@@ -451,27 +447,11 @@ def _phase_body(ctx, phase: Phase, index: int, cells, syncw, noise, ro):
         yield from _read_only(ctx, index, ro, ctx.nthreads)
 
 
-def _jitter(ctx, index: int, jitter_seed: int):
-    rng = SplitMix64(
-        ((jitter_seed * 1000003 + index + 1) << 20)
-        ^ (ctx.gtid * 0x9E3779B9)
-    )
-    yield ctx.compute(1 + rng.next_below(64))
-
-
-def compile_phase(program: FuzzProgram, index: int, jitter_seed: int = 0):
-    """Build the kernel generator for one phase of *program*.
-
-    ``jitter_seed`` != 0 prepends a seed-derived per-thread compute
-    delay, deterministically perturbing warp interleavings so a seed
-    sweep explores distinct schedules of the *same* program (the memory
-    behaviour — and therefore the ground truth — is untouched).
-    """
+def compile_phase(program: FuzzProgram, index: int):
+    """Build the kernel generator for one phase of *program*."""
     phase = program.phases[index]
 
     def fuzz_phase(ctx, cells, syncw, noise, ro):
-        if jitter_seed:
-            yield from _jitter(ctx, index, jitter_seed)
         yield from _phase_body(ctx, phase, index, cells, syncw, noise, ro)
 
     fuzz_phase.__name__ = f"fuzz_p{index}_{phase.kind.value}"
@@ -480,15 +460,15 @@ def compile_phase(program: FuzzProgram, index: int, jitter_seed: int = 0):
     return fuzz_phase
 
 
-def compile_kernel(program: FuzzProgram, jitter_seed: int = 0):
+def compile_kernel(program: FuzzProgram):
     """The program's launch sequence: one kernel generator per phase."""
     return tuple(
-        compile_phase(program, index, jitter_seed)
+        compile_phase(program, index)
         for index in range(len(program.phases))
     )
 
 
-def compile_fused(program: FuzzProgram, jitter_seed: int = 0):
+def compile_fused(program: FuzzProgram):
     """All phases fused into ONE kernel (not the ground-truth path).
 
     Fused execution keeps the same conflicting pairs but lets earlier
@@ -499,15 +479,13 @@ def compile_fused(program: FuzzProgram, jitter_seed: int = 0):
     phases = program.phases
 
     def fuzz_fused(ctx, cells, syncw, noise, ro):
-        if jitter_seed:
-            yield from _jitter(ctx, 0, jitter_seed)
         for index, phase in enumerate(phases):
             yield from _phase_body(ctx, phase, index, cells, syncw, noise, ro)
 
     return fuzz_fused
 
 
-def run_program(gpu, program: FuzzProgram, jitter_seed: int = 0):
+def run_program(gpu, program: FuzzProgram):
     """Allocate, then launch *program*'s phases in order on *gpu*.
 
     Works against both the engine :class:`~repro.engine.gpu.GPU` and
@@ -519,7 +497,7 @@ def run_program(gpu, program: FuzzProgram, jitter_seed: int = 0):
     block_dim = program.block_dim(warp_size)
     for index in range(len(program.phases)):
         gpu.launch(
-            compile_phase(program, index, jitter_seed),
+            compile_phase(program, index),
             grid=program.grid,
             block_dim=block_dim,
             args=args,

@@ -488,5 +488,6 @@ def explore(
         metrics.counter("mc.races").inc(len(state.race_hits))
         metrics.counter(f"mc.verdict.{report['verdict']}").inc()
         metrics.gauge("mc.frontier.depth").set(state.max_depth)
-        metrics.gauge("mc.prune_ratio").set(report["prune_ratio"])
+        if report["prune_ratio"] is not None:
+            metrics.gauge("mc.prune_ratio").set(report["prune_ratio"])
     return report

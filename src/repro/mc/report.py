@@ -45,9 +45,11 @@ def build_report(state, target, stop_on_race: bool, probes: bool,
             # drained was not the whole frontier, so exhaustion proves
             # nothing beyond the explored depth.
             verdict = "budget_exhausted"
-    explored = max(1, state.explored)
-    naive = max(state.naive, 1)
-    prune_ratio = round(naive / explored, 3)
+    # A capped naive estimate is a floor, not a count: no ratio.
+    prune_ratio = (
+        None if state.naive_capped
+        else round(max(state.naive, 1) / max(1, state.explored), 3)
+    )
     report = {
         "schema": MC_REPORT_SCHEMA,
         "target": target.label,
@@ -100,6 +102,7 @@ def replay_witness(target, witness: Optional[dict]):
 
 def render_report(report: dict) -> str:
     """Human-readable one-target summary for the CLI."""
+    ratio = report["prune_ratio"]
     lines = [
         f"{report['target']}: {report['verdict']}"
         + (f" ({', '.join(report['race_types'])})"
@@ -108,7 +111,7 @@ def render_report(report: dict) -> str:
         f"{report['schedules_pruned']} pruned, "
         f"naive {report['naive_schedules']}"
         + ("+" if report["naive_capped"] else "")
-        + f" (prune ratio {report['prune_ratio']})",
+        + f" (prune ratio {'n/a' if ratio is None else ratio})",
         f"  frontier: {report['choice_points']} choice points, "
         f"max depth {report['max_frontier_depth']}, "
         f"{report['trace_steps']} steps in the fair trace",

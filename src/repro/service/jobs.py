@@ -10,11 +10,12 @@
   submitted under its client, so fairness, coalescing, the memo, the
   :class:`~repro.experiments.parallel.ResultCache` and the
   :class:`~repro.experiments.store.RunStore` behave exactly as offline,
-  and service records are identical to offline records.  Program units
-  (:class:`~repro.experiments.campaign.ProgramSpec`, one schedule-jitter
-  seed of the fuzzer's dynamic oracle each) run on the same pool as
-  campaign units, under the same timeout, retry and poison rules, and
-  are memoized under :func:`repro.fuzz.program.fuzz_unit_digest`.
+  and service records are identical to offline records.  A program job
+  is one unit (:class:`~repro.experiments.campaign.ProgramSpec`: the
+  fuzzer's dynamic oracle, one ScoRD run on the native schedule).  It
+  runs on the same pool as campaign units, under the same timeout,
+  retry and poison rules, and is memoized under
+  :func:`repro.fuzz.program.fuzz_unit_digest`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import threading
 import time
 import uuid
 from concurrent.futures import CancelledError
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.common.errors import RunFailedError
 from repro.experiments.campaign import ProgramSpec, RunFailure
@@ -72,7 +73,6 @@ class Job:
     created: float
     specs: List = dataclasses.field(default_factory=list)
     program = None
-    seeds: Tuple[int, ...] = ()
     detector: str = "scord"
     static: Optional[dict] = None
     state: str = "queued"  # queued -> running -> done | failed
@@ -106,7 +106,6 @@ class Job:
         if self.kind == "program":
             doc["static"] = self.static
             doc["detector"] = self.detector
-            doc["seeds"] = list(self.seeds)
         return doc
 
 
@@ -208,7 +207,7 @@ class JobManager:
             units = len(parsed["specs"])
             static = None
         else:
-            units = len(parsed["seeds"])
+            units = 1
             static = self._preflight(parsed)
         retry_after = self.quotas.charge(client, units)
         if retry_after:
@@ -231,7 +230,6 @@ class JobManager:
             job.specs = parsed["specs"]
         else:
             job.program = parsed["program"]
-            job.seeds = parsed["seeds"]
             job.detector = parsed["detector"]
             job.static = static
         job.results = [None] * units
@@ -290,7 +288,7 @@ class JobManager:
         }
         if job.kind == "program":
             doc["static"] = job.static
-            doc["dynamic"] = _union_verdict(units)
+            doc["dynamic"] = (units[0] or {}).get("verdict")
         if self.cache is not None:
             doc["cache"] = self.cache.stats()
         doc["pool"] = self.supervisor.stats()
@@ -364,7 +362,7 @@ class JobManager:
         ):
             if job.kind == "campaign":
                 return self.scheduler.execute(job.specs[index])
-            unit = _program_unit(job, index)
+            unit = _program_unit(job)
             verdict = self.scheduler.execute(unit)
         if "error" in verdict:
             # The program crashed the simulator: a failed unit, not a
@@ -386,7 +384,6 @@ class JobManager:
         if job.kind == "campaign":
             result["spec"] = job.specs[index].to_dict()
         else:
-            result["seed"] = job.seeds[index]
             result["detector"] = job.detector
         result.update(digest=digest, failure=None, source=source)
         try:
@@ -501,35 +498,14 @@ def _unit_digest(job: Job, index: int) -> str:
         )
     from repro.fuzz.program import fuzz_unit_digest
 
-    return fuzz_unit_digest(job.program, job.detector, job.seeds[index])
+    return fuzz_unit_digest(job.program, job.detector)
 
 
-def _program_unit(job: Job, index: int) -> ProgramSpec:
-    return ProgramSpec(
-        job.program, "dynamic", job.detector, seed=job.seeds[index]
-    )
+def _program_unit(job: Job) -> ProgramSpec:
+    return ProgramSpec(job.program, "dynamic", job.detector)
 
 
 def _unit_label(job: Job, index: int) -> str:
     if job.kind == "campaign":
         return job.specs[index].describe()
-    return _program_unit(job, index).describe()
-
-
-def _union_verdict(units: List[Optional[dict]]) -> dict:
-    """Union a program job's per-seed verdicts (the seed-sweep rule)."""
-    racy = False
-    types: set = set()
-    seeds_done = []
-    for unit in units:
-        if not unit or unit.get("failure") or "verdict" not in unit:
-            continue
-        verdict = unit["verdict"]
-        racy = racy or bool(verdict.get("racy"))
-        types.update(verdict.get("types", ()))
-        seeds_done.append(unit.get("seed"))
-    return {
-        "racy": racy,
-        "types": sorted(types),
-        "seeds": sorted(s for s in seeds_done if s is not None),
-    }
+    return _program_unit(job).describe()

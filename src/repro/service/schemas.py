@@ -21,7 +21,7 @@ plain typed values (unit specs / a fuzz program) or raises
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
 JOB_SCHEMA = "service-job/v1"
 REPORT_SCHEMA = "service-report/v1"
@@ -118,11 +118,15 @@ def parse_unit(payload, index: int):
 
 
 def parse_program(payload: dict):
-    """A ``fuzz-program/v1`` body -> (program, seeds, detector)."""
+    """A ``fuzz-program/v1`` body -> (program, detector)."""
     from repro.experiments.runner import DETECTORS
-    from repro.fuzz.oracles import DEFAULT_SEEDS
     from repro.fuzz.program import FuzzProgram, ProgramError
 
+    _require(
+        "seeds" not in payload,
+        "seeds is not a field of a program job: the program runs once, "
+        "on its native schedule",
+    )
     _require(
         isinstance(payload.get("program"), dict),
         "program must be a fuzz-program/v1 object",
@@ -133,29 +137,20 @@ def parse_program(payload: dict):
         raise ServiceError(
             "bad-request", f"program does not parse: {err}"
         ) from None
-    seeds = payload.get("seeds", list(DEFAULT_SEEDS))
-    _require(
-        isinstance(seeds, list)
-        and seeds
-        and all(
-            isinstance(s, int) and not isinstance(s, bool) for s in seeds
-        ),
-        "seeds must be a non-empty list of integers",
-    )
     detector = payload.get("detector", "scord")
     _require(
         detector in DETECTORS,
         f"detector must be one of {sorted(DETECTORS)}",
     )
-    return program, tuple(seeds), detector
+    return program, detector
 
 
 def parse_submission(payload) -> dict:
     """Validate a ``POST /v1/jobs`` body into plain typed fields.
 
     Returns ``{"kind": "campaign", "specs": [RunSpec, ...]}`` or
-    ``{"kind": "program", "program": FuzzProgram, "seeds": (...),
-    "detector": str, "on_static_race": "reject"|"accept"}``.
+    ``{"kind": "program", "program": FuzzProgram, "detector": str,
+    "on_static_race": "reject"|"accept"}``.
     """
     _require(isinstance(payload, dict), "submission must be a JSON object")
     schema = payload.get("schema")
@@ -181,7 +176,7 @@ def parse_submission(payload) -> dict:
         )
         specs = [parse_unit(unit, i) for i, unit in enumerate(units)]
         return {"kind": "campaign", "specs": specs}
-    program, seeds, detector = parse_program(payload)
+    program, detector = parse_program(payload)
     on_static_race = payload.get("on_static_race", "reject")
     _require(
         on_static_race in ("reject", "accept"),
@@ -190,7 +185,6 @@ def parse_submission(payload) -> dict:
     return {
         "kind": "program",
         "program": program,
-        "seeds": seeds,
         "detector": detector,
         "on_static_race": on_static_race,
     }

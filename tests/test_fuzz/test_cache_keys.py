@@ -37,8 +37,8 @@ PINNED = FuzzProgram(2, 2, (
 PINNED_PROGRAM_DIGEST = (
     "4d6841b3c9f6a9bd82482783238339cbee0ed36bbb220ec4360f68efe539fbcc"
 )
-PINNED_UNIT_DIGEST_SCORD_SEED0 = (
-    "bed0653ce33ed1157da5b5673be500b03491c44c0a8be46ed44f437085ff5674"
+PINNED_UNIT_DIGEST_SCORD = (
+    "483330c5619c140b2c93911f434f0416f72de70ac2ef09b2a08531fc16b05b96"
 )
 
 
@@ -79,18 +79,15 @@ class TestProgramDigest:
 
 class TestUnitDigest:
     def test_pinned_value(self):
-        assert fuzz_unit_digest(PINNED, "scord", 0) == (
-            PINNED_UNIT_DIGEST_SCORD_SEED0
-        )
+        assert fuzz_unit_digest(PINNED, "scord") == PINNED_UNIT_DIGEST_SCORD
 
-    def test_detector_and_seed_partition_the_key_space(self):
+    def test_detector_partitions_the_key_space(self):
         digests = {
-            fuzz_unit_digest(PINNED, "scord", 0),
-            fuzz_unit_digest(PINNED, "scord", 1),
-            fuzz_unit_digest(PINNED, "base", 0),
-            fuzz_unit_digest(PINNED, "none", 0),
+            fuzz_unit_digest(PINNED, "scord"),
+            fuzz_unit_digest(PINNED, "base"),
+            fuzz_unit_digest(PINNED, "none"),
         }
-        assert len(digests) == 4
+        assert len(digests) == 3
 
     def test_detector_label_resolves_to_configuration(self):
         """Like store.unit_digest: the label itself is not hashed — the
@@ -105,7 +102,6 @@ class TestUnitDigest:
             "schema": SCHEMA_VERSION,
             "kind": "fuzz-program",
             "program": PINNED.to_dict(),
-            "seed": 0,
             "detector": dataclasses.asdict(DETECTORS["scord"]),
         }
         import hashlib
@@ -113,8 +109,8 @@ class TestUnitDigest:
         expected = hashlib.sha256(
             canonical_json(identity).encode("utf-8")
         ).hexdigest()
-        assert fuzz_unit_digest(PINNED, "scord", 0) == expected
+        assert fuzz_unit_digest(PINNED, "scord") == expected
 
     def test_unknown_detector_label_raises(self):
         with pytest.raises(KeyError):
-            fuzz_unit_digest(PINNED, "definitely-not-a-detector", 0)
+            fuzz_unit_digest(PINNED, "definitely-not-a-detector")

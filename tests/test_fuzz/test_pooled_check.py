@@ -175,7 +175,7 @@ def test_a_sigkilled_worker_is_replaced_and_the_verdict_unchanged(
     config = PoolConfig(workers=1, backoff_seconds=0.01)
     with PoolSupervisor(config) as supervisor:
         # Warm the worker so the unit starts as soon as it is sent.
-        supervisor.execute(ProgramSpec(RACY, "dynamic", seed=0))
+        supervisor.execute(ProgramSpec(RACY, "dynamic"))
         (victim,) = [
             entry["pid"] for entry in supervisor.stats()["per_worker"].values()
             if entry["alive"]

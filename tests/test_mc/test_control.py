@@ -9,11 +9,19 @@ silently exploring a different program.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
+from repro.arch.config import GPUConfig
 from repro.arch.detector_config import DetectorConfig
 from repro.common.errors import ConfigError
+from repro.engine.gpu import GPU
+from repro.experiments.runner import DETECTORS
+from repro.fuzz import FuzzProgram, load_corpus, run_program
+from repro.fuzz.oracles import dynamic_verdict
 from repro.mc import FAIR, ScheduleControl, ScheduleDivergence
+from repro.mc.targets import target_from_program
 from repro.scor.micro.base import run_micro
 from repro.scor.micro.registry import micro_by_name
 from repro.telemetry import FlightConfig, Telemetry, TraceConfig
@@ -63,6 +71,33 @@ def test_fair_control_matches_uncontrolled_run(name):
     )
     assert controlled_types == uncontrolled_types
     assert control.steps, "control observed no steps"
+
+
+CORPUS_ANCHORS = load_corpus(
+    os.path.join(os.path.dirname(__file__), os.pardir, "corpus", "fuzz")
+)
+
+
+@pytest.mark.parametrize(
+    "entry", [entry for _, entry in CORPUS_ANCHORS],
+    ids=[entry["digest"][:12] for _, entry in CORPUS_ANCHORS],
+)
+def test_fair_control_matches_the_dynamic_oracle_on_fuzz_programs(entry):
+    """mc's schedule #0 of a fuzz program is the native schedule the
+    dynamic oracle's one ScoRD run watches: the same race types and
+    the same cycle count, with neither oracle reading the other."""
+    program = FuzzProgram.from_dict(entry["program"])
+    controlled = target_from_program(program).execute(ScheduleControl())
+    uncontrolled = GPU(
+        config=GPUConfig.scaled_default(),
+        detector_config=DETECTORS["scord"],
+    )
+    run_program(uncontrolled, program)
+    controlled_types = sorted(
+        {r.race_type.value for r in controlled.races.unique_races}
+    )
+    assert controlled_types == dynamic_verdict(program)["types"]
+    assert controlled.total_cycles == uncontrolled.total_cycles
 
 
 def test_control_records_consistent_choices():

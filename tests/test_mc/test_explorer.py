@@ -206,3 +206,28 @@ def test_telemetry_counters_accumulate():
     assert snapshot["mc.schedules.explored"] >= 1
     assert snapshot["mc.verdict.proven_racy"] == 1
     assert "mc.prune_ratio" in snapshot
+
+
+def test_a_capped_naive_estimate_reports_no_prune_ratio():
+    """A naive count that hit NAIVE_CAP is a floor, so a ratio over it
+    would measure the cap: the report, the text and the gauge say so."""
+    from repro.fuzz import Actor, FuzzProgram, Phase, PhaseKind
+    from repro.mc import render_report
+    from repro.mc.targets import target_from_program
+    from repro.telemetry import Telemetry
+
+    program = FuzzProgram(2, 2, (
+        Phase(PhaseKind.HANDOFF, Actor(0, 0), Actor(1, 0)),
+        Phase(PhaseKind.MUTEX, Actor(0, 1), Actor(1, 1)),
+        Phase(PhaseKind.ATOMICS, Actor(1, 0), Actor(0, 1)),
+    ))
+    telemetry = Telemetry.disabled()
+    report = explore(
+        target_from_program(program), budget=2, telemetry=telemetry
+    )
+    assert report["naive_capped"]
+    assert report["prune_ratio"] is None
+    assert "(prune ratio n/a)" in render_report(report)
+    snapshot = telemetry.metrics.snapshot()
+    assert snapshot["mc.targets"] == 1
+    assert "mc.prune_ratio" not in snapshot

@@ -191,7 +191,6 @@ class TestRefusals:
         body = {
             "schema": JOB_SCHEMA,
             "program": RACY_PROGRAM.to_dict(),
-            "seeds": [0],
         }
         status, doc, _ = request(
             daemon, "POST", "/v1/jobs", body, client="alice"
@@ -207,7 +206,6 @@ class TestRefusals:
         body = {
             "schema": JOB_SCHEMA,
             "program": RACY_PROGRAM.to_dict(),
-            "seeds": [0],
             "on_static_race": "accept",
         }
         status, doc, _ = request(
@@ -224,7 +222,6 @@ class TestRefusals:
         body = {
             "schema": JOB_SCHEMA,
             "program": CLEAN_PROGRAM.to_dict(),
-            "seeds": [0],
         }
         status, doc, _ = request(
             daemon, "POST", "/v1/jobs", body, client="alice"
@@ -234,6 +231,20 @@ class TestRefusals:
         final = wait_terminal(daemon, doc["id"])
         _, report, _ = request(daemon, "GET", f"/v1/jobs/{doc['id']}/report")
         assert report["dynamic"]["racy"] is False
+        assert len(report["units"]) == 1
+
+    def test_a_program_body_with_seeds_is_400(self, daemon):
+        body = {
+            "schema": JOB_SCHEMA,
+            "program": CLEAN_PROGRAM.to_dict(),
+            "seeds": [0],
+        }
+        status, doc, _ = request(
+            daemon, "POST", "/v1/jobs", body, client="alice"
+        )
+        assert status == 400
+        assert doc["error"]["code"] == "bad-request"
+        assert "seeds" in doc["error"]["message"]
 
     def test_malformed_json_is_400(self, daemon):
         status, doc, _ = request(

@@ -18,7 +18,6 @@ from repro.service.jobs import (
     Job,
     JobManager,
     ServiceConfig,
-    _union_verdict,
 )
 from repro.service.schemas import JOB_SCHEMA
 
@@ -251,31 +250,6 @@ class TestCacheHits:
         assert len(RunStore(manager.store.path).load()) == 1
 
 
-class TestUnionVerdict:
-    def test_unions_types_across_seeds(self):
-        units = [
-            {"seed": 0, "verdict": {"racy": False, "types": []}},
-            {"seed": 1, "verdict": {"racy": True, "types": ["lock"]}},
-            {"seed": 2, "verdict": {"racy": True,
-                                    "types": ["missing-block-fence"]}},
-        ]
-        assert _union_verdict(units) == {
-            "racy": True,
-            "types": ["lock", "missing-block-fence"],
-            "seeds": [0, 1, 2],
-        }
-
-    def test_skips_failures_and_pending(self):
-        units = [
-            None,
-            {"seed": 1, "failure": {"category": "simulation"}},
-            {"seed": 2, "verdict": {"racy": False, "types": []}},
-        ]
-        assert _union_verdict(units) == {
-            "racy": False, "types": [], "seeds": [2],
-        }
-
-
 class TestStatusDocument:
     def test_campaign_status_shape(self):
         job = Job(id="j1", client="alice", kind="campaign", created=1.0)
@@ -289,10 +263,10 @@ class TestStatusDocument:
 
     def test_program_status_carries_the_static_verdict(self):
         job = Job(id="j2", client="alice", kind="program", created=1.0)
-        job.seeds = (0, 1)
         job.static = {"racy": False, "types": [], "rules": [],
                       "findings": 0}
-        job.results = [None, None]
+        job.results = [None]
         doc = job.status_dict()
         assert doc["static"]["racy"] is False
-        assert doc["seeds"] == [0, 1]
+        assert doc["units_total"] == 1
+        assert "seeds" not in doc

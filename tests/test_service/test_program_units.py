@@ -1,7 +1,7 @@
 """Program units on the daemon's pool: isolation, timeout, same verdicts.
 
-A program job's units (one schedule-jitter seed each) run in pool
-workers like campaign units, so ``--timeout`` bounds them and a unit
+A program job's one unit (one ScoRD run of the program) runs in a pool
+worker like a campaign unit, so ``--timeout`` bounds it and a unit
 that overruns costs its worker, not the daemon.
 """
 
@@ -24,11 +24,10 @@ RACY = FuzzProgram(2, 2, (
 ))
 
 
-def program_job(program, seeds):
+def program_job(program):
     return {
         "schema": JOB_SCHEMA,
         "program": program.to_dict(),
-        "seeds": list(seeds),
         "on_static_race": "accept",
     }
 
@@ -54,21 +53,22 @@ def test_an_overrunning_program_unit_times_out_and_its_worker_is_replaced(
     supervisor = manager.supervisor
     supervisor.config.backoff_seconds = 0.01
     supervisor.fault_plan = FaultPlan.always("pool-hang", app="program")
-    job = manager.submit("alice", program_job(CLEAN, [0]))
+    job = manager.submit("alice", program_job(CLEAN))
     assert manager.scheduler.drain(timeout=60)
     assert job.state == "failed"
     failure = job.results[0]["failure"]
     assert failure["category"] == "run-timeout"
     assert failure["app"] == "program"
+    assert failure["seed"] is None
     stats = supervisor.stats()
     assert stats["timeout_recycles"] == supervisor.config.max_retries + 1
     assert stats["restarts"] == 0
 
     supervisor.fault_plan = None
-    after = manager.submit("alice", program_job(CLEAN, [1]))
+    after = manager.submit("alice", program_job(CLEAN))
     assert manager.scheduler.drain(timeout=60)
     assert after.state == "done"
-    assert after.results[0]["verdict"] == dynamic_verdict(CLEAN, (1,))
+    assert after.results[0]["verdict"] == dynamic_verdict(CLEAN)
     assert supervisor.stats()["spawned"] == stats["spawned"] + 1
 
 
@@ -92,7 +92,7 @@ def test_a_crash_verdict_fails_the_unit_and_a_resubmission_reruns_it(
 ):
     manager = managers(workers=1, dispatchers=1)
     executor = manager.scheduler.executor = _CrashingOnce()
-    job = manager.submit("alice", program_job(CLEAN, [0]))
+    job = manager.submit("alice", program_job(CLEAN))
     assert manager.scheduler.drain(timeout=60)
     assert job.state == "failed"
     failure = job.results[0]["failure"]
@@ -100,11 +100,11 @@ def test_a_crash_verdict_fails_the_unit_and_a_resubmission_reruns_it(
     assert failure["app"] == "program"
     assert "boom" in failure["message"]
 
-    again = manager.submit("alice", program_job(CLEAN, [0]))
+    again = manager.submit("alice", program_job(CLEAN))
     assert manager.scheduler.drain(timeout=60)
     assert again.state == "done"
     assert executor.calls == 2
-    assert again.results[0]["verdict"] == dynamic_verdict(CLEAN, (0,))
+    assert again.results[0]["verdict"] == dynamic_verdict(CLEAN)
 
 
 def test_a_program_verdict_is_the_same_on_the_pool_and_in_process(
@@ -115,12 +115,13 @@ def test_a_program_verdict_is_the_same_on_the_pool_and_in_process(
     floor.scheduler.executor = InProcessExecutor()
     reports = []
     for manager in (pooled, floor):
-        job = manager.submit("alice", program_job(RACY, [0, 1, 2]))
+        job = manager.submit("alice", program_job(RACY))
         assert manager.scheduler.drain(timeout=120)
         assert job.state == "done"
         reports.append(manager.report_dict(job))
     on_pool, in_process = reports
     assert on_pool["dynamic"] == in_process["dynamic"]
+    assert on_pool["dynamic"] == on_pool["units"][0]["verdict"]
     assert on_pool["dynamic"]["racy"] is True
     assert [u["verdict"] for u in on_pool["units"]] == [
         u["verdict"] for u in in_process["units"]
@@ -128,5 +129,5 @@ def test_a_program_verdict_is_the_same_on_the_pool_and_in_process(
     assert [u["unit"] for u in on_pool["units"]] == [
         u["unit"] for u in in_process["units"]
     ]
-    assert on_pool["pool"]["units_ok"] == 3
+    assert on_pool["pool"]["units_ok"] == 1
     assert in_process["pool"]["spawned"] == 0

@@ -75,9 +75,9 @@ class TestCampaignSubmissions:
 
 class TestProgramSubmissions:
     def test_valid_program_round_trips(self):
-        parsed = parse_submission(program_body(CLEAN, seeds=[0, 1]))
+        parsed = parse_submission(program_body(CLEAN))
         assert parsed["kind"] == "program"
-        assert parsed["seeds"] == (0, 1)
+        assert "seeds" not in parsed
         assert parsed["detector"] == "scord"
         assert parsed["on_static_race"] == "reject"
         assert parsed["program"].to_dict() == CLEAN.to_dict()
@@ -87,8 +87,10 @@ class TestProgramSubmissions:
         expect_bad_request(body, "program")
 
     def test_rejects_bad_seeds_and_policies(self):
-        expect_bad_request(program_body(CLEAN, seeds=[]), "seeds")
-        expect_bad_request(program_body(CLEAN, seeds=[True]), "seeds")
+        # A program job runs its program once: any seeds field, even a
+        # once-valid sweep, is refused by name rather than ignored.
+        for seeds in ([], [True], [0], [0, 1, 2]):
+            expect_bad_request(program_body(CLEAN, seeds=seeds), "seeds")
         expect_bad_request(
             program_body(CLEAN, on_static_race="maybe"), "on_static_race"
         )
