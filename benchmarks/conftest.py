@@ -1,10 +1,10 @@
-"""Shared state for the benchmark harness.
+"""Shared state for the paper-claim tests.
 
 All exhibits draw from one session-scoped memoizing runner, exactly like
 ``scord-experiments all``: Fig. 9 reuses Fig. 8's simulations, Table VII
-reuses the correct-config runs, and so on.  ``pytest benchmarks/
---benchmark-only`` therefore regenerates the paper's entire evaluation in
-a single process.
+reuses the correct-config runs, and so on.  ``pytest benchmarks/``
+therefore regenerates the paper's entire evaluation in a single process,
+each exhibit computed once and checked against the paper's claims.
 """
 
 import pytest
@@ -15,13 +15,3 @@ from repro.experiments.runner import Runner
 @pytest.fixture(scope="session")
 def runner() -> Runner:
     return Runner(verbose=False)
-
-
-def once(benchmark, fn, *args, **kwargs):
-    """Run *fn* exactly once under pytest-benchmark timing.
-
-    Simulations are deterministic and expensive; repeated rounds would
-    only re-measure the memoization cache.
-    """
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs,
-                              iterations=1, rounds=1)

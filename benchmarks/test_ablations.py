@@ -5,7 +5,6 @@ fixed parameters: the 1/16 metadata cache ratio, the 4-entry lock table,
 the 16-bit bloom filter, and the detector buffer depth.
 """
 
-from benchmarks.conftest import once
 from repro.experiments.ablations import (
     run_bloom_ablation,
     run_buffer_ablation,
@@ -15,8 +14,8 @@ from repro.experiments.ablations import (
 from repro.experiments.tables import render_table
 
 
-def test_cache_ratio_ablation(benchmark):
-    rows = once(benchmark, run_cache_ratio_ablation)
+def test_cache_ratio_ablation():
+    rows = run_cache_ratio_ablation()
     print()
     print(render_table(
         "Ablation: metadata cache ratio",
@@ -33,8 +32,8 @@ def test_cache_ratio_ablation(benchmark):
     assert count(caught["1/32"]) <= count(caught["1/16"])
 
 
-def test_lock_table_ablation(benchmark):
-    rows = once(benchmark, run_lock_table_ablation)
+def test_lock_table_ablation():
+    rows = run_lock_table_ablation()
     print()
     print(render_table(
         "Ablation: lock-table entries per warp",
@@ -48,8 +47,8 @@ def test_lock_table_ablation(benchmark):
     assert fps[8] == 0
 
 
-def test_bloom_ablation(benchmark):
-    rows = once(benchmark, run_bloom_ablation)
+def test_bloom_ablation():
+    rows = run_bloom_ablation()
     print()
     print(render_table(
         "Ablation: lock bloom width",
@@ -64,8 +63,8 @@ def test_bloom_ablation(benchmark):
     assert caught_16 >= caught_2
 
 
-def test_buffer_ablation(benchmark):
-    rows = once(benchmark, run_buffer_ablation)
+def test_buffer_ablation():
+    rows = run_buffer_ablation()
     print()
     print(render_table(
         "Ablation: detector buffer depth (RED)",

@@ -5,12 +5,11 @@ smallest component (16.5%); UTS shows no LHD because its volatile accesses
 bypass the L1.
 """
 
-from benchmarks.conftest import once
 from repro.experiments.fig10 import run_fig10
 
 
-def test_fig10(benchmark, runner):
-    result = once(benchmark, run_fig10, runner)
+def test_fig10(runner):
+    result = run_fig10(runner)
     print()
     print(result.render())
     for row in result.rows:

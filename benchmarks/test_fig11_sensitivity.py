@@ -5,12 +5,11 @@ constrained (metadata contends harder with data), with 1DC as the noted
 exception.
 """
 
-from benchmarks.conftest import once
 from repro.experiments.fig11 import run_fig11
 
 
-def test_fig11(benchmark, runner):
-    result = once(benchmark, run_fig11, runner)
+def test_fig11(runner):
+    result = run_fig11(runner)
     print()
     print(result.render())
     # The constrained-memory trend is visible in a subset of applications

@@ -5,12 +5,11 @@ design without metadata caching is uniformly at least as expensive as
 ScoRD-with-caching.
 """
 
-from benchmarks.conftest import once
 from repro.experiments.fig8 import run_fig8
 
 
-def test_fig8(benchmark, runner):
-    result = once(benchmark, run_fig8, runner)
+def test_fig8(runner):
+    result = run_fig8(runner)
     print()
     print(result.render())
     by_app = result.as_dict()

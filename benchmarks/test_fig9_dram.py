@@ -5,12 +5,11 @@ also inflate data accesses through L2 contention; the software cache cuts
 the metadata component to a small fraction.
 """
 
-from benchmarks.conftest import once
 from repro.experiments.fig9 import run_fig9
 
 
-def test_fig9(benchmark, runner):
-    result = once(benchmark, run_fig9, runner)
+def test_fig9(runner):
+    result = run_fig9(runner)
     print()
     print(result.render())
     for row in result.rows:

@@ -1,11 +1,10 @@
 """Regenerate Table I: the 32-microbenchmark census and verdicts."""
 
-from benchmarks.conftest import once
 from repro.experiments.table1 import run_table1
 
 
-def test_table1(benchmark):
-    result = once(benchmark, run_table1)
+def test_table1():
+    result = run_table1()
     print()
     print(result.render())
     # Census matches the paper exactly.

@@ -6,12 +6,11 @@ aliasing).  The reproduction asserts the same mechanism: the base design
 catches everything, and ScoRD loses at most a couple of races to aliasing.
 """
 
-from benchmarks.conftest import once
 from repro.experiments.table6 import run_table6
 
 
-def test_table6(benchmark, runner):
-    result = once(benchmark, run_table6, runner)
+def test_table6(runner):
+    result = run_table6(runner)
     print()
     print(result.render())
     totals = result.totals

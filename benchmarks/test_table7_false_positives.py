@@ -5,12 +5,11 @@ correctly synchronized applications; the 8/16-byte coarse-granularity
 variants report many, worst for the graph applications.
 """
 
-from benchmarks.conftest import once
 from repro.experiments.table7 import run_table7
 
 
-def test_table7(benchmark, runner):
-    result = once(benchmark, run_table7, runner)
+def test_table7(runner):
+    result = run_table7(runner)
     print()
     print(result.render())
     assert sum(result.false_positive_counts("base")) == 0

@@ -6,7 +6,6 @@ fully scope-blind model also misses the scoped-fence one; ScoRD catches
 both.
 """
 
-from benchmarks.conftest import once
 from repro.arch.detector_config import DetectorConfig
 from repro.experiments.table8 import run_table8
 from repro.scord.races import RaceType
@@ -38,8 +37,8 @@ def _demo():
     return matrix, results
 
 
-def test_table8(benchmark):
-    matrix, results = once(benchmark, _demo)
+def test_table8():
+    matrix, results = _demo()
     print()
     print(matrix)
     assert RaceType.SCOPED_ATOMIC in results["scord"][0]

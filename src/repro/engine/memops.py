@@ -139,9 +139,6 @@ class MemoryPipeline:
             ),
         )
 
-    def _extra_bytes(self) -> int:
-        return self._extra
-
     def _detector_packet(self, now: int) -> None:
         """Detection packet for an access that produces no memory-system
         packet of its own (L1 hit, buffered store, SM-local atomic):

@@ -254,7 +254,6 @@ class CampaignRunner(Runner):
         executor,
         verbose: bool = True,
         store: Optional[RunStore] = None,
-        preload: bool = True,
         telemetry=None,
         flight=None,
         forensics_dir=None,
@@ -268,7 +267,7 @@ class CampaignRunner(Runner):
         # this runner's traces stop at the unit span (which still times
         # the worker round-trip).
         super().__init__(
-            verbose=verbose, store=store, preload=preload,
+            verbose=verbose, store=store,
             result_cache=result_cache, telemetry=telemetry, flight=flight,
             forensics_dir=forensics_dir,
         )

@@ -7,9 +7,11 @@ parts.
 
 Resilience (see docs/architecture.md, "Resilience"):
 
-* ``--store PATH`` checkpoints every completed simulation to a durable
-  JSONL store; ``--resume`` preloads it, so a killed campaign restarts
-  without re-simulating finished runs.
+* ``--cache-dir PATH`` is the campaign's checkpoint: rerunning a
+  killed campaign over the same directory answers its finished units
+  from the cache instead of re-simulating them.
+* ``--store PATH`` logs every unit the campaign answers, fresh or
+  cached, to a durable JSONL run store (``scord-compare`` diffs two).
 * ``--jobs N`` (N >= 1) runs each simulation in a supervised pool of N
   persistent warm workers (see docs/architecture.md §6) with heartbeat
   liveness, crash recycling, retry, and graceful degradation;
@@ -28,10 +30,11 @@ Parallelism and caching (see docs/architecture.md, "Parallel campaigns"):
   the in-process default.
   ``--chaos-kill-every N`` deliberately SIGKILLs a worker every Nth
   unit (resilience drills).
-* ``--cache-dir PATH`` layers a content-addressed result cache over the
-  runs: units are keyed by a stable hash of the resolved configs, kernel
-  identity, seed, and schema version, so re-runs and overlapping
-  exhibits hit disk instead of re-simulating.
+* The ``--cache-dir`` result cache is content-addressed: units are
+  keyed by a stable hash of the resolved configs, kernel identity,
+  seed, and schema version, so re-runs and overlapping exhibits hit
+  disk instead of re-simulating.  With flight capture on, the cache is
+  written but never read, so every unit simulates and is captured.
 """
 
 from __future__ import annotations
@@ -202,22 +205,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--quiet", action="store_true", help="suppress per-run progress"
     )
     parser.add_argument(
-        "--dump",
-        metavar="PATH",
-        help="write every simulation's raw record to PATH as JSON "
-        "(atomic: temp file + rename)",
-    )
-    parser.add_argument(
         "--store",
         metavar="PATH",
-        help="durably checkpoint every completed simulation to this "
-        "JSONL store",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="preload completed runs from --store instead of "
-        "re-simulating them",
+        help="durably log every unit the campaign answers, fresh or "
+        "cached, to this JSONL run store",
     )
     parser.add_argument(
         "--timeout",
@@ -255,7 +246,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cache-dir",
         metavar="PATH",
         help="content-addressed result cache directory: completed units "
-        "are stored by config/seed/schema hash and reused across runs",
+        "are stored by config/seed/schema hash and reused across runs, "
+        "so a killed campaign rerun over the same directory resumes",
     )
     parser.add_argument(
         "--trace",
@@ -317,30 +309,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "log (unit lifecycle + forensics, with campaign/unit/worker "
         "correlation IDs) to PATH",
     )
-    parser.add_argument(
-        "--preflight-lint",
-        action="store_true",
-        help="statically lint the suite before the campaign, annotate "
-        "stderr with per-target verdicts, and record them in the "
-        "manifest (findings never block the campaign)",
-    )
-    parser.add_argument(
-        "--mc",
-        action="store_true",
-        help="after the exhibits, upgrade each simulated (app, flags) "
-        "configuration's verdict with a bounded DPOR schedule "
-        "exploration (repro.mc); verdicts land in the manifest's 'mc' "
-        "section.  Expensive: each config re-simulates under up to "
-        "--mc-budget controlled schedules",
-    )
-    parser.add_argument(
-        "--mc-budget",
-        type=int,
-        default=4,
-        metavar="N",
-        help="schedules per configuration for --mc (default 4: the "
-        "fair schedule + unfairness probes)",
-    )
     return parser
 
 
@@ -390,14 +358,14 @@ def _build_runner(
     verbose = not args.quiet
     if supervisor is None:
         return Runner(
-            verbose=verbose, store=store, preload=args.resume,
-            result_cache=cache, telemetry=telemetry,
-            flight=flight, forensics_dir=args.forensics_out,
+            verbose=verbose, store=store, result_cache=cache,
+            telemetry=telemetry, flight=flight,
+            forensics_dir=args.forensics_out,
         )
     from repro.experiments.campaign import CampaignRunner
 
     return CampaignRunner(
-        supervisor, verbose=verbose, store=store, preload=args.resume,
+        supervisor, verbose=verbose, store=store,
         telemetry=telemetry, flight=flight, forensics_dir=args.forensics_out,
         result_cache=cache, jobs=args.jobs,
     )
@@ -432,57 +400,9 @@ def _build_pool(args, telemetry=None, flight=None):
     return supervisor, fault_plan
 
 
-def _mc_section(runner, budget, quiet, telemetry=None):
-    """Campaign verdict upgrade: bounded DPOR exploration per config.
-
-    One exploration per unique (app, enabled-flags) pair the campaign
-    simulated — detector and memory-preset variants of the same
-    configuration share one schedule space, so they share one verdict.
-    """
-    from repro.mc import explorer
-    from repro.mc.targets import resolve_target
-
-    pairs = sorted({
-        (record.app, tuple(sorted(record.races_enabled)))
-        for record in runner.records()
-    })
-    section = {"budget": budget, "targets": {}}
-    for app, races in pairs:
-        label = f"app:{app}" + ("+" + "+".join(races) if races else "")
-        try:
-            target = resolve_target(label)
-            report = explorer.explore(
-                target, budget=budget, stop_on_race=True,
-                telemetry=telemetry,
-            )
-        except ReproError as err:
-            section["targets"][label] = {
-                "verdict": "error",
-                "error": f"{error_code(err)}: {err}",
-            }
-            continue
-        section["targets"][label] = {
-            "verdict": report["verdict"],
-            "racy": report["racy"],
-            "race_types": report["race_types"],
-            "schedules_explored": report["schedules_explored"],
-            "schedules_pruned": report["schedules_pruned"],
-            "prune_ratio": report["prune_ratio"],
-        }
-        if not quiet:
-            print(
-                f"[mc] {label}: {report['verdict']}"
-                + (f" ({', '.join(report['race_types'])})"
-                   if report["race_types"] else ""),
-                file=sys.stderr,
-            )
-    return section
-
-
 def _write_manifest(
     path, wanted, exhibit_errors, runner, elapsed_seconds, telemetry=None,
-    lint_section=None, pool_section=None, forensics_section=None,
-    mc_section=None,
+    pool_section=None, forensics_section=None,
 ) -> None:
     from repro.experiments.store import SCHEMA_VERSION, atomic_write_json
 
@@ -498,38 +418,29 @@ def _write_manifest(
                 "code": error_code(err),
                 "error": str(err),
             }
-    store = runner._store
     payload = {
-            "schema": SCHEMA_VERSION,
-            "ok": not exhibit_errors and not failed_runs,
-            "exhibits": exhibits,
-            "failed_runs": failed_runs,
-            "counts": {
-                "unique_simulations": runner.runs_done(),
-                "fresh_runs": runner.fresh_runs,
-                "resumed_runs": runner.resumed_runs,
-                "cached_runs": runner.cached_runs,
-                "failed_runs": len(failed_runs),
-                "quarantined_store_lines": (
-                    store.quarantined if store is not None else 0
-                ),
-            },
-            "cache": (
-                runner.result_cache.stats()
-                if runner.result_cache is not None
-                else None
-            ),
-            "profile": telemetry.profile() if telemetry is not None else None,
-            "elapsed_seconds": round(elapsed_seconds, 3),
+        "schema": SCHEMA_VERSION,
+        "ok": not exhibit_errors and not failed_runs,
+        "exhibits": exhibits,
+        "failed_runs": failed_runs,
+        "counts": {
+            "unique_simulations": runner.runs_done(),
+            "fresh_runs": runner.fresh_runs,
+            "cached_runs": runner.cached_runs,
+            "failed_runs": len(failed_runs),
+        },
+        "cache": (
+            runner.result_cache.stats()
+            if runner.result_cache is not None
+            else None
+        ),
+        "profile": telemetry.profile() if telemetry is not None else None,
+        "elapsed_seconds": round(elapsed_seconds, 3),
     }
-    if lint_section is not None:
-        payload["lint"] = lint_section
     if pool_section is not None:
         payload["pool"] = pool_section
     if forensics_section is not None:
         payload["forensics"] = forensics_section
-    if mc_section is not None:
-        payload["mc"] = mc_section
     atomic_write_json(path, payload)
 
 
@@ -736,42 +647,6 @@ def lint_main(argv) -> int:
     return 1 if errors else 0
 
 
-def _preflight_lint(telemetry=None):
-    """Campaign pre-flight: static lint verdicts for the suite.
-
-    Returns the manifest's ``lint`` section.  Lint findings never block
-    a campaign (racey configurations are the experiments' *subject*) —
-    the annotations tell the reader which verdicts to expect.
-    """
-    from repro.scolint import lint_suite
-    from repro.scolint.model import LintError
-
-    try:
-        results = lint_suite(litmus=False, telemetry=telemetry)
-    except LintError as err:
-        print(f"[preflight-lint failed: {err.describe()}]", file=sys.stderr)
-        return {"ok": False, "error": err.describe()}
-    dirty = [r for r in results if not r.clean]
-    print(
-        f"[preflight-lint: {len(results)} target(s), "
-        f"{len(dirty)} with static findings]",
-        file=sys.stderr,
-    )
-    for result in dirty:
-        rules = sorted({f.rule for f in result.findings})
-        print(f"[preflight-lint] {result.target}: {', '.join(rules)}",
-              file=sys.stderr)
-    return {
-        "ok": True,
-        "targets": len(results),
-        "clean": len(results) - len(dirty),
-        "verdicts": {
-            r.target: sorted({f.rule for f in r.findings})
-            for r in dirty
-        },
-    }
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "report":
@@ -807,8 +682,6 @@ def main(argv=None) -> int:
     unknown = [name for name in wanted if name not in EXHIBITS]
     if unknown:
         parser.error(f"unknown exhibit(s): {', '.join(unknown)}")
-    if args.resume and not args.store:
-        parser.error("--resume requires --store PATH")
     if args.jobs < 0:
         parser.error("--jobs must be >= 0 (0 = in-process)")
     if args.timeout is not None and not args.jobs:
@@ -818,8 +691,6 @@ def main(argv=None) -> int:
     if args.chaos_kill_every and not args.jobs:
         parser.error("--chaos-kill-every injects pool faults; it requires "
                      "--jobs N")
-    if args.mc_budget < 1:
-        parser.error("--mc-budget must be >= 1")
 
     cache = _build_cache(args)
     try:
@@ -846,10 +717,6 @@ def main(argv=None) -> int:
             "campaign", cat="exp", exhibits=wanted, jobs=args.jobs
         )
         campaign_span.__enter__()
-    lint_section = None
-    if args.preflight_lint:
-        with _phase(telemetry, "exp.preflight_lint", "preflight-lint"):
-            lint_section = _preflight_lint(telemetry=telemetry)
     plannable = [name for name in wanted if name in RUNNER_EXHIBITS]
     exhibit_errors = {}
     # One scheduler and pool serve the prefetch and every unit the
@@ -888,19 +755,9 @@ def main(argv=None) -> int:
         pool_section = supervisor.stats()
         if fault_plan is not None:
             pool_section["chaos_injected"] = fault_plan.injected
-    if args.dump:
-        runner.dump_json(args.dump)
-        print(f"[raw records written to {args.dump}]", file=sys.stderr)
     if campaign_span is not None:
         campaign_span.__exit__(None, None, None)
     elapsed = time.time() - started
-    mc_section = None
-    if args.mc:
-        with _phase(telemetry, "exp.mc", "mc-upgrade"):
-            mc_section = _mc_section(
-                runner, args.mc_budget, args.quiet, telemetry
-            )
-        elapsed = time.time() - started
     forensics_section = runner.forensics_section()
     if forensics_section is not None and not args.quiet:
         print(
@@ -913,9 +770,8 @@ def main(argv=None) -> int:
     if args.manifest:
         _write_manifest(
             args.manifest, wanted, exhibit_errors, runner, elapsed,
-            telemetry=telemetry, lint_section=lint_section,
-            pool_section=pool_section, forensics_section=forensics_section,
-            mc_section=mc_section,
+            telemetry=telemetry, pool_section=pool_section,
+            forensics_section=forensics_section,
         )
         print(f"[manifest written to {args.manifest}]", file=sys.stderr)
     if telemetry is not None:
@@ -924,11 +780,10 @@ def main(argv=None) -> int:
         ):
             print(f"[telemetry written to {written}]", file=sys.stderr)
     failed_runs = getattr(runner, "failures", [])
-    cached = f", {runner.cached_runs} cached" if runner.cached_runs else ""
     print(
         f"[{runner.runs_done()} unique simulations "
-        f"({runner.fresh_runs} fresh, {runner.resumed_runs} resumed"
-        f"{cached}), {elapsed:.0f}s]",
+        f"({runner.fresh_runs} fresh, {runner.cached_runs} cached), "
+        f"{elapsed:.0f}s]",
         file=sys.stderr,
     )
     if exhibit_errors or failed_runs:

@@ -1,48 +1,53 @@
-"""Compare two experiment dumps (``scord-experiments --dump``).
+"""Compare two campaign run stores (``scord-experiments --store``).
 
 Useful when calibrating the simulator or reviewing a change: run the
-exhibits before and after, dump both, and diff:
+exhibits before and after, log both to a store, and diff:
 
-    scord-experiments fig8 --quiet --dump before.json
+    scord-experiments fig8 --quiet --store before.jsonl
     # ... change something ...
-    scord-experiments fig8 --quiet --dump after.json
-    python -m repro.experiments.compare before.json after.json
+    scord-experiments fig8 --quiet --store after.jsonl
+    scord-compare before.jsonl after.jsonl
 
-Records are matched on (app, detector, memory, races_enabled); the report
-lists cycle and DRAM deltas, detection-outcome changes, and records that
-exist on only one side.
+Each store is read with :meth:`RunStore.load
+<repro.experiments.store.RunStore.load>` (corrupt lines quarantined,
+last entry wins).  Records are matched on (app, detector, memory,
+races_enabled); the report lists cycle and DRAM deltas,
+detection-outcome changes, and records that exist on only one side.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import sys
 from typing import Dict, List, Tuple
 
+from repro.experiments.store import RunStore, record_to_dict
 from repro.experiments.tables import render_table
 
 Key = Tuple[str, str, str, Tuple[str, ...]]
 
 
 def _load(path: str) -> Dict[Key, dict]:
-    with open(path) as handle:
-        records = json.load(handle)
+    store = RunStore(path)
+    records = store.load()
+    if store.quarantined:
+        print(f"[{path}: {store.quarantined} corrupt line(s) skipped, "
+              f"see {store.quarantine_path}]", file=sys.stderr)
     table: Dict[Key, dict] = {}
-    for record in records:
+    for record in records.values():
         key = (
-            record["app"],
-            record["detector"],
-            record["memory"],
-            tuple(record.get("races_enabled", [])),
+            record.app,
+            record.detector,
+            record.memory,
+            tuple(sorted(record.races_enabled)),
         )
-        table[key] = record
+        table[key] = record_to_dict(record)
     return table
 
 
 @dataclasses.dataclass
 class Comparison:
-    """Structured diff of two dumps."""
+    """Structured diff of two run stores."""
 
     changed: List[Tuple[Key, dict, dict]]
     only_before: List[Key]
@@ -100,8 +105,9 @@ class Comparison:
 
 def compare(before_path: str, after_path: str,
             threshold: float = 0.02) -> Comparison:
-    """Diff two dumps; *threshold* is the relative cycle/DRAM change below
-    which a record counts as unchanged (detection changes always count)."""
+    """Diff two run stores; *threshold* is the relative cycle/DRAM change
+    below which a record counts as unchanged (detection changes always
+    count)."""
     before = _load(before_path)
     after = _load(after_path)
     changed = []
@@ -132,7 +138,7 @@ def compare(before_path: str, after_path: str,
 def main(argv=None) -> int:
     args = list(sys.argv[1:] if argv is None else argv)
     if len(args) != 2:
-        print("usage: python -m repro.experiments.compare BEFORE.json AFTER.json",
+        print("usage: scord-compare BEFORE.jsonl AFTER.jsonl",
               file=sys.stderr)
         return 2
     result = compare(args[0], args[1])

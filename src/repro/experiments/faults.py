@@ -13,7 +13,7 @@ survive:
   (exercises the structured worker-error protocol);
 
 plus **store corruption** (:func:`corrupt_store`) — torn tails, garbage
-bytes, and schema drift in the checkpoint file, which ``RunStore.load``
+bytes, and schema drift in a run store, which ``RunStore.load``
 must quarantine rather than crash on.
 
 The warm worker pool (``repro.experiments.pool``) has failure shapes a

@@ -608,22 +608,20 @@ def prefetch_exhibits(
     nothing needed running.
     """
     units = plan_exhibits(exhibits, names)
-    # Units already resumed from the store need no work.
-    pending = [u for u in units if u.key() not in runner._cache]
-    if not pending:
+    if not units:
         return None
     scheduler = runner.scheduler
     if verbose:
         cache = scheduler.cache
         print(
-            f"  [parallel] {len(pending)} unit(s) across "
+            f"  [parallel] {len(units)} unit(s) across "
             f"{scheduler.threads} dispatcher(s)"
             f"{' (cache: ' + cache.root + ')' if cache else ''}",
             file=sys.stderr,
             flush=True,
         )
     outcome = scheduler.run_units(
-        pending, client=CAMPAIGN_CLIENT, verbose=verbose
+        units, client=CAMPAIGN_CLIENT, verbose=verbose
     )
     for unit in outcome.outcomes:
         if unit.record is not None:

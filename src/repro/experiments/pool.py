@@ -150,11 +150,6 @@ class _FrameReader:
         self._fd = fd
         self._buf = bytearray()
 
-    @property
-    def partial_bytes(self) -> int:
-        """Bytes of an incomplete frame currently buffered."""
-        return len(self._buf)
-
     def read(self, timeout: float):
         """One frame within *timeout* seconds.
 

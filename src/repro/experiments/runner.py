@@ -91,7 +91,7 @@ def file_record(record: RunRecord, cache, store) -> None:
 
     A failed cache write never fails the unit (a read-only or full cache
     costs a later re-simulation); a failed store append does, because
-    the store is what a campaign resumes from.
+    the store is the campaign's record log and must be complete.
     """
     if cache is not None:
         try:
@@ -105,18 +105,18 @@ def file_record(record: RunRecord, cache, store) -> None:
 class Runner:
     """Memoizing simulation front-end for the experiments.
 
-    With a :class:`~repro.experiments.store.RunStore` attached the cache
-    becomes disk-backed: every fresh simulation is durably appended, and
-    (with ``preload=True``) previously completed runs are loaded up
-    front — that is what gives ``scord-experiments --resume`` its
-    checkpoint/resume behavior.
+    With a :class:`~repro.experiments.parallel.ResultCache` attached,
+    units answered by an earlier run are read from disk instead of
+    re-simulated: rerunning a killed campaign over the same cache
+    resumes it.  A :class:`~repro.experiments.store.RunStore` is the
+    campaign's record log: every unit the runner answers, fresh or
+    cached, is durably appended to it.
     """
 
     def __init__(
         self,
         verbose: bool = True,
         store: "Optional[RunStore]" = None,
-        preload: bool = True,
         guard_factory=None,
         result_cache=None,
         telemetry=None,
@@ -146,30 +146,12 @@ class Runner:
         self.telemetry = telemetry
         #: simulations actually executed by this process (cache misses)
         self.fresh_runs = 0
-        #: records recovered from the store rather than simulated
-        self.resumed_runs = 0
         #: records served by the content-addressed result cache
         self.cached_runs = 0
         #: optional () -> Watchdog factory guarding in-process runs
         self.guard_factory = guard_factory
         #: optional :class:`repro.experiments.parallel.ResultCache`
         self.result_cache = result_cache
-        if store is not None and preload:
-            loaded = store.load()
-            self._cache.update(loaded)
-            self.resumed_runs = len(loaded)
-            if self.verbose and loaded:
-                quarantined = (
-                    f" ({store.quarantined} corrupt line(s) quarantined)"
-                    if store.quarantined
-                    else ""
-                )
-                print(
-                    f"  [resume] {len(loaded)} completed run(s) loaded "
-                    f"from {store.path}{quarantined}",
-                    file=sys.stderr,
-                    flush=True,
-                )
 
     def run(
         self,
@@ -200,7 +182,7 @@ class Runner:
         if source == "cache":
             self.cached_runs += 1
             if self._store is not None:
-                # the store checkpoints every unit the campaign answered
+                # the store logs every unit the campaign answered
                 self._store.append(record)
         else:
             self.fresh_runs += 1
@@ -403,21 +385,3 @@ class Runner:
 
     def runs_done(self) -> int:
         return len(self._cache)
-
-    # ------------------------------------------------------------------
-    # Export
-    # ------------------------------------------------------------------
-    def records(self) -> List[RunRecord]:
-        """All simulated records, in insertion order."""
-        return list(self._cache.values())
-
-    def dump_json(self, path) -> None:
-        """Write every simulated record to *path* as JSON.
-
-        The write is atomic (temp file + rename): a crash mid-dump never
-        leaves a half-written file behind.
-        """
-        from repro.experiments.store import atomic_write_json, record_to_dict
-
-        payload = [record_to_dict(record) for record in self._cache.values()]
-        atomic_write_json(path, payload)

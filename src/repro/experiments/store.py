@@ -1,9 +1,11 @@
-"""Disk-backed run-record store: the campaign's checkpoint.
+"""Disk-backed run-record store: the campaign's record log.
 
 A :class:`RunStore` is an append-only JSONL file, one
 :class:`~repro.experiments.runner.RunRecord` per line, each stamped with
-a schema version.  It backs the memoizing ``Runner`` cache so a killed
-campaign resumes without re-simulating completed runs.
+a schema version.  A campaign (``scord-experiments run --store``) or
+the service appends every unit it answers; ``scord-compare`` diffs two
+stores.  Resuming a killed campaign is the
+:class:`~repro.experiments.parallel.ResultCache`'s job, not the log's.
 
 Durability and corruption discipline:
 
@@ -14,10 +16,10 @@ Durability and corruption discipline:
   tails, bit rot, schema drift) are copied to ``<path>.quarantine`` and
   skipped; loading never crashes on a corrupt entry and never silently
   drops the good ones.
-* **Last-entry-wins** — duplicate keys (e.g. a run re-simulated after a
-  quarantined entry) resolve to the most recent record.
+* **Last-entry-wins** — duplicate keys (e.g. two campaigns logged to
+  one store) resolve to the most recent record.
 
-The serialization helpers are also used by ``Runner.dump_json`` and the
+The serialization helpers are also used by the result cache and the
 campaign worker protocol, so there is exactly one wire format for a run
 record.
 """
@@ -245,9 +247,6 @@ class RunStore:
     def quarantine_path(self) -> str:
         return self.path + ".quarantine"
 
-    def exists(self) -> bool:
-        return os.path.exists(self.path)
-
     # ------------------------------------------------------------------
     def append(self, record) -> None:
         """Durably append one record (complete line + flush + fsync)."""
@@ -310,5 +309,5 @@ class RunStore:
                 os.fsync(handle.fileno())
         except OSError:
             # Quarantine is best-effort forensics; losing it must not
-            # break resume.
+            # break the load.
             pass

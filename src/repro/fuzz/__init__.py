@@ -39,7 +39,6 @@ from repro.fuzz.program import (
     Phase,
     PhaseKind,
     compile_fused,
-    compile_kernel,
     compile_phase,
     fuzz_unit_digest,
     program_digest,
@@ -54,7 +53,6 @@ __all__ = [
     "PhaseKind",
     "check_program",
     "compile_fused",
-    "compile_kernel",
     "compile_phase",
     "dynamic_verdict",
     "fuzz_campaign",

@@ -460,14 +460,6 @@ def compile_phase(program: FuzzProgram, index: int):
     return fuzz_phase
 
 
-def compile_kernel(program: FuzzProgram):
-    """The program's launch sequence: one kernel generator per phase."""
-    return tuple(
-        compile_phase(program, index)
-        for index in range(len(program.phases))
-    )
-
-
 def compile_fused(program: FuzzProgram):
     """All phases fused into ONE kernel (not the ground-truth path).
 

@@ -108,14 +108,6 @@ class VisibilityModel:
             cache_set.pop(line, None)
         sm.l1_data.pop(line, None)
 
-    def _buffer_of(self, warp_uid: int, sm_id: int) -> "OrderedDict[int, int]":
-        buf = self._wb.get(warp_uid)
-        if buf is None:
-            buf = OrderedDict()
-            self._wb[warp_uid] = buf
-        self._wb_sm[warp_uid] = sm_id
-        return buf
-
     def _drain_entry_to_backing(self, sm_id: int, addr: int, value: int) -> None:
         self.backing.write_word(addr, value)
         self._invalidate_l1(sm_id, addr)
@@ -400,6 +392,3 @@ class VisibilityModel:
 
     def sm_local_view(self, sm_id: int) -> Dict[int, int]:
         return {addr: entry[0] for addr, entry in self._sms[sm_id].local.items()}
-
-    def l1_contains(self, sm_id: int, addr: int) -> bool:
-        return self._sms[sm_id].l1.contains(addr)

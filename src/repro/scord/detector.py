@@ -763,6 +763,3 @@ class ScoRDDetector(BaseDetector):
     @property
     def md_cache_skips(self) -> int:
         return self.metadata.tag_misses
-
-    def lock_table_of(self, block_id: int, warp_id: int) -> LockTable:
-        return self._lock_table(block_id, warp_id)

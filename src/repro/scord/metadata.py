@@ -124,10 +124,6 @@ class MetadataStore:
         tag = (granule % self.cache_ratio) & self._tag_mask
         return index, tag
 
-    def entry_addr(self, index: int) -> int:
-        """Synthetic byte address of entry *index* (for the timing model)."""
-        return self.region_base + index * METADATA_ENTRY_BYTES
-
     # ------------------------------------------------------------------
     def lookup4(self, addr: int) -> Tuple[int, int, bool, int]:
         """Hot-path lookup: ``(index, word, tag_ok, tag)`` as a plain tuple.

@@ -65,9 +65,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write per-unit forensics bundles under DIR",
     )
     parser.add_argument(
-        "--trace", action="store_true",
-        help="record per-request trace spans (exported on drain as "
-        "chrome-trace next to --store, when set)",
+        "--trace", metavar="PATH",
+        help="record per-request trace spans and write them on drain as "
+        "a Chrome trace_event JSON to PATH, plus a compact JSONL sibling",
     )
     parser.add_argument(
         "--verbose", action="store_true",
@@ -105,7 +105,7 @@ def serve_main(argv: Optional[list] = None) -> int:
         forensics_dir=args.forensics_out,
         verbose=args.verbose,
     )
-    telemetry = Telemetry(TraceConfig(enabled=args.trace))
+    telemetry = Telemetry(TraceConfig(enabled=bool(args.trace)))
     daemon = ServiceDaemon(config, telemetry=telemetry)
     print(
         f"[scord-serve] listening on {daemon.address} "
@@ -120,9 +120,8 @@ def serve_main(argv: Optional[list] = None) -> int:
         daemon.serve_forever()
     except KeyboardInterrupt:
         daemon.drain(timeout=30)
-    if args.trace and args.store:
-        trace_path = args.store + ".service-trace.json"
-        for written in telemetry.export(trace_path, None):
+    if args.trace:
+        for written in telemetry.export(args.trace, None):
             print(f"[telemetry written to {written}]", file=sys.stderr)
     print("[scord-serve] drained; bye", file=sys.stderr, flush=True)
     return 0

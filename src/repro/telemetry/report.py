@@ -198,7 +198,6 @@ def render_dashboard(
             f"campaign: {status}, "
             f"{counts.get('unique_simulations', '?')} simulation(s) "
             f"({counts.get('fresh_runs', 0)} fresh, "
-            f"{counts.get('resumed_runs', 0)} resumed, "
             f"{counts.get('cached_runs', 0)} cached), "
             f"{manifest.get('elapsed_seconds', '?')}s"
         )

@@ -33,23 +33,7 @@ class TestFastExhibits:
         assert "VIOLATION" not in out
 
 
-class TestDump:
-    def test_dump_writes_records(self, tmp_path, capsys):
-        path = tmp_path / "records.json"
-        # fig8 on its own is the cheapest simulating exhibit... still
-        # heavy; use table2 (no sims) to prove the dump path, then check
-        # the file is valid JSON (possibly empty list).
-        assert main(["table2", "--quiet", "--dump", str(path)]) == 0
-        records = json.loads(path.read_text())
-        assert isinstance(records, list)
-
-
 class TestResilienceFlags:
-    def test_resume_requires_store(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["table2", "--quiet", "--resume"])
-        assert "--resume requires --store" in capsys.readouterr().err
-
     @pytest.mark.parametrize("argv,message", [
         (["--timeout", "5"], "--timeout bounds pool units"),
         (["--chaos-kill-every", "2"], "--chaos-kill-every injects pool"),

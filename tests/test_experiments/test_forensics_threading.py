@@ -109,6 +109,8 @@ def test_disk_cache_is_bypassed_under_flight(tmp_path):
     capturing.run(app_by_name("RED"), detector="none")
     assert capturing.fresh_runs == 1
     assert capturing.cached_runs == 0
+    # a capture rerun over a warm cache captures every unit
+    assert capturing.forensics_section()["units_captured"] == 1
 
 
 def test_pool_prefetch_bypasses_the_disk_cache_under_flight(tmp_path):

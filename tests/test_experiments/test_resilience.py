@@ -1,16 +1,15 @@
-"""Campaign resilience: checkpoint/resume, watchdogs, crash isolation.
+"""Campaign resilience: resume from the result cache, watchdogs, crash
+isolation.
 
-These tests deliberately inject hangs, crashes, and corrupted store
-entries (repro.experiments.faults) to prove the recovery paths behave as
-specified — resume skips finished runs, a hang is timed out and retried,
-exhausted retries degrade to FAILED cells, and corruption is quarantined.
-The isolated paths run on the supervised worker pool, the campaign's
-one isolated executor.
+These tests deliberately inject hangs, crashes, and torn cache entries
+(repro.experiments.faults) to prove the recovery paths behave as
+specified — a rerun over the same cache skips finished runs, a hang is
+timed out and retried, exhausted retries degrade to FAILED cells, and a
+torn cache entry costs only its own re-simulation.  The isolated paths
+run on the supervised worker pool, the campaign's one isolated executor.
 """
 
-import json
 import os
-import signal
 import subprocess
 import sys
 import time
@@ -20,7 +19,8 @@ import pytest
 from repro.common.errors import RunFailedError
 from repro.experiments import fig8
 from repro.experiments.campaign import CampaignRunner, RunSpec, _worker_env
-from repro.experiments.faults import FaultPlan, FaultRule, corrupt_store
+from repro.experiments.faults import FaultPlan, FaultRule
+from repro.experiments.parallel import ResultCache
 from repro.experiments.runner import Runner
 from repro.experiments.store import RunStore, record_key
 from repro.experiments.supervisor import PoolConfig, PoolSupervisor
@@ -38,61 +38,66 @@ def same_simulation(a, b) -> bool:
     return all(getattr(a, f) == getattr(b, f) for f in _COMPARED_FIELDS)
 
 
+def cache_entries(root) -> list:
+    """Paths of the complete entries under a ResultCache directory
+    (an in-flight atomic write is a ``.tmp`` file, never a ``.json``)."""
+    return sorted(
+        os.path.join(dirpath, name)
+        for dirpath, _dirnames, names in os.walk(root)
+        for name in names if name.endswith(".json")
+    )
+
+
 # ----------------------------------------------------------------------
-# Checkpoint / resume (in-process)
+# Checkpoint / resume through the result cache (in-process)
 # ----------------------------------------------------------------------
 class TestCheckpointResume:
     def test_fresh_runs_are_checkpointed_and_resumed(self, tmp_path):
-        store = RunStore(tmp_path / "store.jsonl")
-        first = Runner(verbose=False, store=store)
+        root = tmp_path / "cache"
+        first = Runner(verbose=False, result_cache=ResultCache(root))
         record = first.run(ReductionApp, detector="scord")
         assert first.fresh_runs == 1
 
-        resumed = Runner(verbose=False, store=RunStore(store.path))
-        assert resumed.resumed_runs == 1
+        resumed = Runner(verbose=False, result_cache=ResultCache(root))
         again = resumed.run(ReductionApp, detector="scord")
         assert resumed.fresh_runs == 0  # no re-simulation
+        assert resumed.cached_runs == 1
         assert same_simulation(record, again)
 
-    def test_resume_can_be_disabled(self, tmp_path):
-        store = RunStore(tmp_path / "store.jsonl")
-        Runner(verbose=False, store=store).run(ReductionApp)
-        cold = Runner(verbose=False, store=RunStore(store.path),
-                      preload=False)
-        assert cold.resumed_runs == 0
-        cold.run(ReductionApp)
-        assert cold.fresh_runs == 1
-
     def test_corrupt_entry_quarantined_on_resume(self, tmp_path):
-        """Resume must survive a corrupt line and re-simulate only it."""
-        store = RunStore(tmp_path / "store.jsonl")
-        first = Runner(verbose=False, store=store)
+        """A torn cache entry is a miss, never a crash: the rerun
+        re-simulates only that unit and counts it in ``corrupt``."""
+        root = tmp_path / "cache"
+        first = Runner(verbose=False, result_cache=ResultCache(root))
         kept = first.run(ReductionApp, detector="none")
+        [kept_entry] = cache_entries(root)
         first.run(ReductionApp, detector="scord")
-        corrupt_store(store.path, line=1, mode="truncate")
+        [torn] = [p for p in cache_entries(root) if p != kept_entry]
+        with open(torn, "r+") as handle:
+            handle.truncate(os.path.getsize(torn) // 2)
 
-        fresh_store = RunStore(store.path)
-        resumed = Runner(verbose=False, store=fresh_store)
-        assert fresh_store.quarantined == 1
-        assert resumed.resumed_runs == 1  # the intact record survived
+        cache = ResultCache(root)
+        resumed = Runner(verbose=False, result_cache=cache)
         assert same_simulation(
             resumed.run(ReductionApp, detector="none"), kept
         )
-        assert resumed.fresh_runs == 0
+        assert resumed.fresh_runs == 0  # the intact entry survived
         resumed.run(ReductionApp, detector="scord")  # re-simulates the lost one
         assert resumed.fresh_runs == 1
+        assert cache.stats()["corrupt"] == 1
+        assert ResultCache(root).get("RED", "scord", "default", ()) is not None
 
 
 # ----------------------------------------------------------------------
-# SIGKILL mid-campaign, then resume
+# SIGKILL mid-campaign, then rerun over the same cache
 # ----------------------------------------------------------------------
 _DRIVER = """
 import sys, time
+from repro.experiments.parallel import ResultCache
 from repro.experiments.runner import Runner
-from repro.experiments.store import RunStore
 from repro.scor.apps.matmul import MatMulApp
 
-runner = Runner(verbose=False, store=RunStore(sys.argv[1]))
+runner = Runner(verbose=False, result_cache=ResultCache(sys.argv[1]))
 for detector in ("none", "base", "scord"):
     runner.run(MatMulApp, detector=detector)
     time.sleep(0.5)  # widen the kill window between checkpoints
@@ -101,35 +106,40 @@ for detector in ("none", "base", "scord"):
 
 class TestKilledCampaign:
     def test_sigkill_then_resume_skips_finished_runs(self, tmp_path):
+        root = str(tmp_path / "cache")
         store_path = str(tmp_path / "store.jsonl")
         proc = subprocess.Popen(
-            [sys.executable, "-c", _DRIVER, store_path],
+            [sys.executable, "-c", _DRIVER, root],
             env=_worker_env(),
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
         )
-        # Wait for at least one durable checkpoint, then kill -9.
+        # Wait for at least one durable cache entry, then kill -9.
         deadline = time.time() + 60
         while time.time() < deadline:
-            if os.path.exists(store_path):
-                with open(store_path) as handle:
-                    if handle.read().count("\n") >= 1:
-                        break
+            if cache_entries(root):
+                break
             if proc.poll() is not None:
                 break
             time.sleep(0.01)
         proc.kill()
         proc.wait()
 
-        completed = len(RunStore(store_path).load())
+        completed = len(cache_entries(root))
         assert completed >= 1  # the campaign was genuinely interrupted
 
-        resumed = Runner(verbose=False, store=RunStore(store_path))
-        assert resumed.resumed_runs == completed
+        resumed = Runner(
+            verbose=False, result_cache=ResultCache(root),
+            store=RunStore(store_path),
+        )
         for detector in ("none", "base", "scord"):
             resumed.run(MatMulApp, detector=detector)
         # Finished runs were not re-simulated...
+        assert resumed.cached_runs == completed
         assert resumed.fresh_runs == 3 - completed
+        assert resumed.result_cache.stats()["corrupt"] == 0
+        # ...the store logged every unit, cached or fresh...
+        assert len(RunStore(store_path).load()) == 3
         # ...and the combined results match an uninterrupted campaign.
         uninterrupted = Runner(verbose=False)
         for detector in ("none", "base", "scord"):

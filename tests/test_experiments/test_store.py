@@ -184,16 +184,3 @@ class TestAtomicWrite:
         atomic_write_json(path, [2])
         assert json.loads(path.read_text()) == [2]
         assert os.listdir(tmp_path) == ["out.json"]
-
-    def test_dump_json_is_atomic_and_schema_stamped(self, tmp_path):
-        from repro.experiments.runner import Runner
-
-        runner = Runner(verbose=False)
-        runner._cache[record_key(make_record())] = make_record()
-        path = tmp_path / "dump.json"
-        runner.dump_json(path)
-        payload = json.loads(path.read_text())
-        assert len(payload) == 1
-        assert payload[0]["schema"] == SCHEMA_VERSION
-        assert record_from_dict(payload[0]) == make_record()
-        assert os.listdir(tmp_path) == ["dump.json"]

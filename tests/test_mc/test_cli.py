@@ -1,15 +1,13 @@
-"""End-to-end CLI wiring: ``scord-experiments mc``, the campaign's
-``--mc`` verdict upgrade, and ``explain`` on mc reports."""
+"""End-to-end CLI wiring: ``scord-experiments mc`` and ``explain`` on
+mc reports."""
 
 from __future__ import annotations
 
 import json
-import types
 
 import pytest
 
 import repro.experiments.cli as experiments_cli
-from repro.experiments.cli import _mc_section
 from repro.forensics.explain import explain_main
 from repro.mc.cli import checkpoint_path, mc_main
 
@@ -121,67 +119,6 @@ def test_mc_main_expands_group_specs(tmp_path):
     (report,) = json.loads(json_out.read_text())
     assert report["target"] == "litmus:mp_device_fence"
     assert report["outcomes"], "litmus targets must collect outcomes"
-
-
-# ----------------------------------------------------------------------
-# Campaign --mc verdict upgrade
-# ----------------------------------------------------------------------
-class _FakeRunner:
-    def __init__(self, records):
-        self._records = records
-
-    def records(self):
-        return self._records
-
-
-def _record(app, races):
-    return types.SimpleNamespace(app=app, races_enabled=list(races))
-
-
-def test_mc_section_explores_unique_configs(monkeypatch, capsys):
-    calls = []
-
-    def fake_explore(target, budget, stop_on_race, telemetry=None):
-        calls.append((target.label, budget))
-        return {
-            "verdict": "proven_racy", "racy": True,
-            "race_types": ["scoped-atomic"],
-            "schedules_explored": 1, "schedules_pruned": 0,
-            "prune_ratio": 2.0,
-        }
-
-    from repro.mc import explorer
-
-    monkeypatch.setattr(explorer, "explore", fake_explore)
-    runner = _FakeRunner([
-        _record("MM", ()),
-        _record("MM", ()),                # detector variant: same config
-        _record("MM", ("block_cas",)),
-    ])
-    section = _mc_section(runner, budget=4, quiet=False)
-    assert [label for label, _ in calls] == [
-        "app:MM", "app:MM+block_cas",
-    ]
-    assert all(budget == 4 for _, budget in calls)
-    assert section["budget"] == 4
-    assert section["targets"]["app:MM+block_cas"]["verdict"] == (
-        "proven_racy"
-    )
-    assert "[mc] app:MM" in capsys.readouterr().err
-
-
-def test_mc_section_records_resolution_errors(monkeypatch):
-    runner = _FakeRunner([_record("NO_SUCH_APP", ())])
-    section = _mc_section(runner, budget=4, quiet=True)
-    entry = section["targets"]["app:NO_SUCH_APP"]
-    assert entry["verdict"] == "error"
-    assert "error" in entry
-
-
-def test_campaign_parser_accepts_mc_flags():
-    parser_main = experiments_cli.main
-    with pytest.raises(SystemExit):
-        parser_main(["--mc-budget", "0"])
 
 
 # ----------------------------------------------------------------------

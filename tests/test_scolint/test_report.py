@@ -147,20 +147,14 @@ class TestLintCli:
         assert "SL-A1" in out
 
     @pytest.mark.tier2
-    def test_preflight_lint_manifest_section(self, tmp_path, capsys):
-        path = tmp_path / "manifest.json"
-        assert main([
-            "table2", "--quiet", "--preflight-lint",
-            "--manifest", str(path),
-        ]) == 0
-        err = capsys.readouterr().err
-        assert "preflight-lint" in err
-        manifest = json.loads(path.read_text())
-        lint = manifest["lint"]
-        assert lint["ok"] is True
-        assert lint["targets"] == 65  # 32 micros + 7 apps + 26 flags
-        assert lint["clean"] == 21   # 14 non-racey micros + 7 defaults
-        assert "app:UTS+block_exch_global" in lint["verdicts"]
+    def test_lint_suite_verdicts(self, capsys):
+        assert main(["lint", "suite", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        summary = report["summary"]
+        assert summary["targets"] == 65  # 32 micros + 7 apps + 26 flags
+        assert summary["clean"] == 21   # 14 non-racey micros + 7 defaults
+        dirty = {t["target"] for t in report["targets"] if not t["clean"]}
+        assert "app:UTS+block_exch_global" in dirty
 
     @pytest.mark.tier2
     def test_lint_crossval_static_only(self, capsys):

@@ -1,10 +1,11 @@
 """Graceful drain: SIGTERM finishes in-flight work, store stays clean.
 
-The real-signal test boots the daemon as a subprocess (the exact
-``scord-experiments serve`` entry point), submits a multi-unit job,
-sends SIGTERM while units are in flight, and then proves two things
-from the outside: the process exits cleanly, and the run store parses
-with zero quarantined lines and one record per submitted unit.
+The real-signal tests boot the daemon as a subprocess (the exact
+``scord-experiments serve`` entry point).  One submits a multi-unit
+job, sends SIGTERM while units are in flight, and then proves two
+things from the outside: the process exits cleanly, and the run store
+parses with zero quarantined lines and one record per submitted unit.
+The other proves ``--trace PATH`` writes its Chrome trace on drain.
 """
 
 import json
@@ -27,7 +28,7 @@ REPO_SRC = os.path.join(
 )
 
 
-def _spawn_daemon(store_path):
+def _spawn_daemon(*flags):
     env = dict(os.environ)
     env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
     env["PYTHONUNBUFFERED"] = "1"
@@ -35,7 +36,7 @@ def _spawn_daemon(store_path):
         [
             sys.executable, "-m", "repro.experiments.cli", "serve",
             "--port", "0", "--jobs", "1", "--dispatchers", "1",
-            "--store", store_path,
+            *flags,
         ],
         env=env,
         stdout=subprocess.PIPE,
@@ -51,7 +52,7 @@ def _spawn_daemon(store_path):
 
 def test_sigterm_drains_inflight_jobs_and_keeps_the_store_clean(tmp_path):
     store_path = str(tmp_path / "store.jsonl")
-    proc, address = _spawn_daemon(store_path)
+    proc, address = _spawn_daemon("--store", store_path)
     try:
         body = {
             "schema": JOB_SCHEMA,
@@ -81,6 +82,25 @@ def test_sigterm_drains_inflight_jobs_and_keeps_the_store_clean(tmp_path):
     assert len(loaded) == 4
     # ...and nothing was torn mid-write.
     assert store.quarantined == 0
+
+
+def test_trace_without_store_is_written_on_drain(tmp_path):
+    trace_path = tmp_path / "service-trace.json"
+    proc, address = _spawn_daemon("--trace", str(trace_path))
+    try:
+        with urllib.request.urlopen(address + "/healthz") as resp:
+            assert resp.status == 200
+        proc.send_signal(signal.SIGTERM)
+        proc.wait(timeout=60)
+        assert proc.returncode == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=30)
+    trace = json.loads(trace_path.read_text())
+    names = {event.get("name") for event in trace["traceEvents"]}
+    assert "service.request" in names
+    assert (tmp_path / "service-trace.jsonl").exists()
 
 
 def test_manager_drain_refuses_new_work_and_finishes_old(tmp_path):
