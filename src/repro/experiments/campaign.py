@@ -46,7 +46,7 @@ from repro.common.errors import (
 from repro.common.guard import GuardConfig, Watchdog
 from repro.experiments.runner import Runner, RunRecord
 from repro.experiments.store import RunStore
-from repro.scor.apps.base import ScorApp
+from repro.scor.apps.base import DEFAULT_SEED, ScorApp
 
 SPEC_SCHEMA = 1
 
@@ -83,11 +83,11 @@ class RunSpec:
     detector: str = "scord"
     memory: str = "default"
     races: Tuple[str, ...] = ()
-    seed: int = 1
+    seed: int = DEFAULT_SEED
 
     def describe(self) -> str:
         flags = f" races={sorted(self.races)}" if self.races else ""
-        tag = f" seed={self.seed}" if self.seed != 1 else ""
+        tag = f" seed={self.seed}" if self.seed != DEFAULT_SEED else ""
         return f"{self.app}/{self.detector}/{self.memory}{flags}{tag}"
 
     def key(self):
@@ -119,7 +119,7 @@ class RunSpec:
             detector=payload.get("detector", "scord"),
             memory=payload.get("memory", "default"),
             races=tuple(payload.get("races", ())),
-            seed=int(payload.get("seed", 1)),
+            seed=int(payload.get("seed", DEFAULT_SEED)),
         )
 
 

@@ -290,13 +290,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="ring-buffer capacity in events (default 65536)",
     )
     parser.add_argument(
-        "--flight-out",
-        metavar="PATH",
-        help="write the in-process flight recorder's JSONL event log to "
-        "PATH (implies --flight; pool units capture worker-side and "
-        "export through --forensics-out instead)",
-    )
-    parser.add_argument(
         "--forensics-out",
         metavar="DIR",
         help="write a forensics bundle (JSON + narrative + trace slice) "
@@ -314,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _flight_config(args):
     """The campaign's FlightConfig, or None when capture is off."""
-    if not (args.flight or args.flight_out or args.forensics_out):
+    if not (args.flight or args.forensics_out):
         return None
     from repro.telemetry import FlightConfig
 
@@ -589,7 +582,9 @@ def lint_main(argv) -> int:
     if args.crossval:
         from repro.scolint.crossval import cross_validate
 
-        validation = cross_validate(dynamic=not args.static_only)
+        validation = cross_validate(
+            None if args.static_only else Runner(verbose=False)
+        )
         output = validation.render() + "\n"
         if args.json:
             import json
@@ -775,9 +770,7 @@ def main(argv=None) -> int:
         )
         print(f"[manifest written to {args.manifest}]", file=sys.stderr)
     if telemetry is not None:
-        for written in telemetry.export(
-            args.trace, args.metrics_out, flight_path=args.flight_out
-        ):
+        for written in telemetry.export(args.trace, args.metrics_out):
             print(f"[telemetry written to {written}]", file=sys.stderr)
     failed_runs = getattr(runner, "failures", [])
     print(

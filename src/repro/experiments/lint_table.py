@@ -19,4 +19,4 @@ from repro.scolint.crossval import CrossValidation, cross_validate
 
 def run_lint_table(runner: Runner) -> CrossValidation:
     progress = print if getattr(runner, "verbose", False) else None
-    return cross_validate(dynamic=True, progress=progress, runner=runner)
+    return cross_validate(runner, progress=progress)

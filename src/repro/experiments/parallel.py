@@ -562,7 +562,7 @@ class PlanningRunner(Runner):
         super().__init__(verbose=False)
         self.requests: List[RunSpec] = []
 
-    def _simulate(self, app_cls, detector, memory, races, seed=1):
+    def _simulate(self, app_cls, detector, memory, races, seed):
         spec = RunSpec(
             app_cls.name, detector, memory, tuple(sorted(races)), seed
         )

@@ -18,7 +18,7 @@ from repro.arch.config import GPUConfig, MemoryPreset, memory_preset
 from repro.arch.detector_config import DetectorConfig, DetectorMode
 from repro.common.errors import StoreError
 from repro.scord.races import RaceType
-from repro.scor.apps.base import ScorApp, run_app
+from repro.scor.apps.base import DEFAULT_SEED, ScorApp, run_app
 
 if False:  # typing-only, avoids a runtime import cycle with store.py
     from repro.experiments.store import RunStore
@@ -64,7 +64,7 @@ class RunRecord:
     race_keys: FrozenSet[Tuple[RaceType, Tuple[str, int]]]
     verified: bool
     wall_seconds: float
-    seed: int = 1
+    seed: int = DEFAULT_SEED
 
     @property
     def dram_total(self) -> int:
@@ -159,7 +159,7 @@ class Runner:
         detector: str = "scord",
         memory: str = "default",
         races: Tuple[str, ...] = (),
-        seed: int = 1,
+        seed: int = DEFAULT_SEED,
     ) -> RunRecord:
         from repro.experiments.campaign import RunSpec
 
@@ -221,7 +221,7 @@ class Runner:
     def _announce(self, spec) -> None:
         if self.verbose:
             flags = f" races={sorted(spec.races)}" if spec.races else ""
-            tag = f" seed={spec.seed}" if spec.seed != 1 else ""
+            tag = f" seed={spec.seed}" if spec.seed != DEFAULT_SEED else ""
             print(
                 f"  [run] {spec.app} detector={spec.detector} "
                 f"memory={spec.memory}{flags}{tag}",
@@ -236,7 +236,7 @@ class Runner:
         detector: str,
         memory: str,
         races: Tuple[str, ...],
-        seed: int = 1,
+        seed: int,
     ) -> RunRecord:
         """Execute one simulation in-process and build its record."""
         started = time.time()
@@ -301,7 +301,7 @@ class Runner:
         label = f"{app}.{detector}.{memory}"
         if races:
             label += "." + "+".join(sorted(races))
-        if seed != 1:
+        if seed != DEFAULT_SEED:
             label += f".s{seed}"
         return label
 

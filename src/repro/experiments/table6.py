@@ -5,7 +5,9 @@ every racey microbenchmark (18), the workload runs once under the base
 design without metadata caching and once under full ScoRD; a race counts
 as *caught* when a race of the expected type is reported.  The paper finds
 44/44 for the base design and 43/44 for ScoRD — the single false negative
-caused by aliasing in the direct-mapped metadata cache.
+caused by aliasing in the direct-mapped metadata cache.  At the default
+input seed this reproduction records 44/44 for both; its aliasing miss
+shows on another input (UTS ``block_exch_global`` at seed 10).
 """
 
 from __future__ import annotations

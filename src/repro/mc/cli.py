@@ -61,7 +61,7 @@ def mc_main(argv) -> int:
         "--detector", default="scord", metavar="LABEL",
         help="detector judging each schedule (scord|base|none, default "
         "scord; base = the uncached base design, immune to the metadata "
-        "aliasing that hides UTS block_exch_global from cached ScoRD)",
+        "aliasing that can hide a race from cached ScoRD)",
     )
     parser.add_argument(
         "--store", metavar="DIR", default=None,

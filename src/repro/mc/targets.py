@@ -22,10 +22,11 @@ from repro.common.errors import ConfigError
 
 #: per-schedule judges.  "scord" is the paper's cached detector;
 #: "base" is the uncached base design — the judge for races the cached
-#: metadata layout can alias away (UTS ``block_exch_global``, the
-#: Table VI mechanism: the miss is a cache artifact, not a schedule
-#: gap, so proving the race needs the reference judge); "none" runs
-#: detection machinery with no checks (schedule-space measurement).
+#: metadata layout can alias away (the Table VI mechanism, seen on UTS
+#: ``block_exch_global`` at input seed 10: the miss is a cache artifact,
+#: not a schedule gap, so proving the race needs the reference judge);
+#: "none" runs detection machinery with no checks (schedule-space
+#: measurement).
 _DETECTOR_BUILDERS = {
     "scord": DetectorConfig.scord,
     "base": DetectorConfig.base_no_cache,

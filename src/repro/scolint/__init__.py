@@ -10,15 +10,14 @@ the rule catalog).
 
 Quickstart::
 
-    from repro.scolint import lint_micro, lint_app
-    from repro.scor.micro.registry import micro_by_name
-    from repro.scor.apps.registry import app_by_name
+    from repro.scolint import lint_target
+    from repro.targets import parse_target
 
-    result = lint_micro(micro_by_name("fence_missing_cross_block"))
+    result = lint_target(parse_target("micro:fence_missing_cross_block"))
     for finding in result.findings:
         print(finding.render())
 
-    result = lint_app(app_by_name("UTS"), races=("block_exch_global",))
+    result = lint_target(parse_target("app:UTS+block_exch_global"))
 
 or from the shell: ``scord-experiments lint`` (see ``--help``).
 """
@@ -35,10 +34,6 @@ from repro.scolint.model import (
 from repro.scolint.report import as_report, render_json, render_text
 from repro.scolint.suite import (
     LintResult,
-    lint_app,
-    lint_litmus,
-    lint_micro,
-    lint_suite,
     lint_target,
     record_lint_metrics,
 )
@@ -55,10 +50,6 @@ __all__ = [
     "analyze",
     "analyze_launch",
     "as_report",
-    "lint_app",
-    "lint_litmus",
-    "lint_micro",
-    "lint_suite",
     "lint_target",
     "record_lint_metrics",
     "render_json",

@@ -15,9 +15,8 @@ case's expected race types (the Table VI criterion); a race-free case
 is a *false positive* when the verdict is non-empty.  The harness emits
 a per-race-type precision/recall table — the artifact EXPERIMENTS.md
 embeds — where the interesting deltas live: schedules the simulator
-never drives (dynamic misses lint catches, e.g. UTS's
-``block_exch_global``) versus dynamic evidence static rules
-over-approximate.
+never drives (dynamic misses lint catches) versus dynamic evidence
+static rules over-approximate.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, FrozenSet, List, Optional, Sequence
 
-from repro.arch.config import GPUConfig
 from repro.arch.detector_config import DetectorConfig
 from repro.common.errors import ReproError
 from repro.experiments.tables import render_table
@@ -220,11 +218,9 @@ class CrossValidation:
 # ----------------------------------------------------------------------
 # Harness
 # ----------------------------------------------------------------------
-def _run_static(case: CrossCase, gpu_config) -> None:
-    from repro.targets import parse_target
-
+def _run_static(case: CrossCase, target) -> None:
     try:
-        result = lint_target(parse_target(case.target), gpu_config=gpu_config)
+        result = lint_target(target)
     except ReproError as err:
         case.static_error = err.describe()
         return
@@ -232,22 +228,17 @@ def _run_static(case: CrossCase, gpu_config) -> None:
     case.static_findings = len(result.findings)
 
 
-def _run_dynamic(case: CrossCase, gpu_config, runner=None) -> None:
+def _run_dynamic(case: CrossCase, target, runner) -> None:
     from repro.engine.gpu import GPU
-    from repro.targets import parse_target
 
     try:
-        target = parse_target(case.target)
-        if runner is not None and target.kind == "app":
-            # Route through the campaign's memoizing runner: the same
-            # (app, scord, races) simulations back Table VI, so a
-            # combined campaign pays for them once.
+        if target.kind == "app":
             record = runner.run(
                 target.subject, detector="scord", races=target.flags
             )
             case.dynamic_types = frozenset(record.race_types)
             return
-        gpu = GPU(config=gpu_config, detector_config=DetectorConfig.scord())
+        gpu = GPU(detector_config=DetectorConfig.scord())
         target.launch(gpu)
     except ReproError as err:
         case.dynamic_error = err.describe()
@@ -258,25 +249,23 @@ def _run_dynamic(case: CrossCase, gpu_config, runner=None) -> None:
 
 
 def cross_validate(
-    dynamic: bool = True,
-    gpu_config: Optional[GPUConfig] = None,
+    runner=None,
     cases: Optional[Sequence[CrossCase]] = None,
     progress=None,
-    runner=None,
 ) -> CrossValidation:
-    """Judge the whole suite statically (and, by default, dynamically).
+    """Judge the whole suite statically and, given a runner, dynamically.
 
-    ``dynamic=False`` skips the simulations — the static columns and
+    *runner* is a :class:`repro.experiments.runner.Runner`: application
+    simulations flow through it (a campaign that also renders Table VI
+    pays for them once), and microbenchmarks simulate on a fresh GPU.
+    Without one the simulations are skipped: the static columns and
     false-positive accounting still populate, dynamic columns render as
     ``-``.  *progress* is an optional ``callable(str)`` narrating case
-    completion (the CLI passes a printer).  *runner* is an optional
-    :class:`repro.experiments.runner.Runner`: application simulations
-    then flow through its memo/store/cache instead of running inline.
+    completion (the CLI passes a printer).
     """
-    config = gpu_config if gpu_config is not None else GPUConfig.scaled_default()
-    if cases is None:
-        from repro.targets import expand_targets
+    from repro.targets import expand_targets, parse_target
 
+    if cases is None:
         cases = [
             CrossCase(
                 target=target.label,
@@ -286,11 +275,13 @@ def cross_validate(
             )
             for target in expand_targets(["suite"])
         ]
+    dynamic = runner is not None
     todo = list(cases)
     for case in todo:
-        _run_static(case, config)
+        target = parse_target(case.target)
+        _run_static(case, target)
         if dynamic:
-            _run_dynamic(case, config, runner=runner)
+            _run_dynamic(case, target, runner)
         if progress is not None:
             bits = [f"static={sorted(t.value for t in case.static_types) or 'clean'}"]
             if dynamic:

@@ -27,6 +27,11 @@ from repro.common.errors import ConfigError
 from repro.engine.gpu import GPU
 from repro.scord.races import RaceType
 
+#: the input seed every application is built at unless a caller asks
+#: for another (Table VI, the campaigns, the service and every tool that
+#: resolves a ``repro.targets`` string)
+DEFAULT_SEED = 1
+
 
 @dataclasses.dataclass(frozen=True)
 class RaceFlag:
@@ -49,7 +54,9 @@ class ScorApp:
     #: the app's race flags, in declaration order
     RACE_FLAGS: Tuple[RaceFlag, ...] = ()
 
-    def __init__(self, races: Iterable[str] = (), seed: int = 1):
+    def __init__(
+        self, races: Iterable[str] = (), seed: int = DEFAULT_SEED
+    ):
         known = {flag.name for flag in self.RACE_FLAGS}
         self.races = frozenset(races)
         unknown = self.races - known

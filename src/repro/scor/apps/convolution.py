@@ -27,7 +27,7 @@ from repro.common.rng import SplitMix64
 from repro.engine.gpu import GPU
 from repro.isa.scopes import Scope
 from repro.scord.races import RaceType
-from repro.scor.apps.base import RaceFlag, ScorApp
+from repro.scor.apps.base import DEFAULT_SEED, RaceFlag, ScorApp
 
 _TAPS = 9
 _HALO = _TAPS // 2
@@ -59,8 +59,8 @@ class ConvolutionApp(ScorApp):
         ),
     )
 
-    def __init__(self, races=(), seed: int = 1, n: int = 3072, grid: int = 8,
-                 block_dim: int = 32):
+    def __init__(self, races=(), seed: int = DEFAULT_SEED, n: int = 3072,
+                 grid: int = 8, block_dim: int = 32):
         super().__init__(races, seed)
         if n % _SEGMENT:
             raise ValueError("n must be a multiple of the segment size")

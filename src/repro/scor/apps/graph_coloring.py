@@ -31,7 +31,7 @@ from typing import List
 from repro.engine.gpu import GPU
 from repro.isa.scopes import Scope
 from repro.scord.races import RaceType
-from repro.scor.apps.base import RaceFlag, ScorApp
+from repro.scor.apps.base import DEFAULT_SEED, RaceFlag, ScorApp
 from repro.scor.apps.worklib import (
     WorkScopes,
     alloc_work_state,
@@ -80,9 +80,9 @@ class GraphColoringApp(ScorApp):
         ),
     )
 
-    def __init__(self, races=(), seed: int = 1, num_vertices: int = 800,
-                 num_edges: int = 1600, grid: int = 6, block_dim: int = 32,
-                 max_rounds: int = 12):
+    def __init__(self, races=(), seed: int = DEFAULT_SEED,
+                 num_vertices: int = 800, num_edges: int = 1600, grid: int = 6,
+                 block_dim: int = 32, max_rounds: int = 12):
         super().__init__(races, seed)
         self.graph = rmat_graph(num_vertices, num_edges, seed)
         self.grid = grid

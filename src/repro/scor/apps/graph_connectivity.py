@@ -25,7 +25,7 @@ from __future__ import annotations
 from repro.engine.gpu import GPU
 from repro.isa.scopes import Scope
 from repro.scord.races import RaceType
-from repro.scor.apps.base import RaceFlag, ScorApp
+from repro.scor.apps.base import DEFAULT_SEED, RaceFlag, ScorApp
 from repro.scor.apps.worklib import (
     WorkScopes,
     alloc_work_state,
@@ -69,9 +69,9 @@ class GraphConnectivityApp(ScorApp):
         ),
     )
 
-    def __init__(self, races=(), seed: int = 2, num_vertices: int = 1000,
-                 num_edges: int = 1500, grid: int = 6, block_dim: int = 32,
-                 max_rounds: int = 16):
+    def __init__(self, races=(), seed: int = DEFAULT_SEED,
+                 num_vertices: int = 1000, num_edges: int = 1500,
+                 grid: int = 6, block_dim: int = 32, max_rounds: int = 16):
         super().__init__(races, seed)
         self.graph = rmat_graph(num_vertices, num_edges, seed)
         self.grid = grid

@@ -27,7 +27,7 @@ from repro.common.rng import SplitMix64
 from repro.engine.gpu import GPU
 from repro.isa.scopes import Scope
 from repro.scord.races import RaceType
-from repro.scor.apps.base import RaceFlag, ScorApp
+from repro.scor.apps.base import DEFAULT_SEED, RaceFlag, ScorApp
 
 _SPIN_LIMIT = 300
 
@@ -60,8 +60,8 @@ class MatMulApp(ScorApp):
         ),
     )
 
-    def __init__(self, races=(), seed: int = 1, n: int = 16, k: int = 32,
-                 m: int = 12, grid: int = 4, block_dim: int = 32):
+    def __init__(self, races=(), seed: int = DEFAULT_SEED, n: int = 16,
+                 k: int = 32, m: int = 12, grid: int = 4, block_dim: int = 32):
         super().__init__(races, seed)
         if k % grid:
             raise ValueError("k must divide evenly across blocks")

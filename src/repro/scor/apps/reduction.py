@@ -23,7 +23,7 @@ from repro.common.rng import SplitMix64
 from repro.engine.gpu import GPU
 from repro.isa.scopes import Scope
 from repro.scord.races import RaceType
-from repro.scor.apps.base import RaceFlag, ScorApp
+from repro.scor.apps.base import DEFAULT_SEED, RaceFlag, ScorApp
 
 
 class ReductionApp(ScorApp):
@@ -44,8 +44,8 @@ class ReductionApp(ScorApp):
         ),
     )
 
-    def __init__(self, races=(), seed: int = 1, n: int = 9216, grid: int = 24,
-                 block_dim: int = 64):
+    def __init__(self, races=(), seed: int = DEFAULT_SEED, n: int = 9216,
+                 grid: int = 24, block_dim: int = 64):
         super().__init__(races, seed)
         self.n = n
         self.grid = grid

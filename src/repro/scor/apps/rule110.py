@@ -26,7 +26,7 @@ from repro.common.rng import SplitMix64
 from repro.engine.gpu import GPU
 from repro.isa.scopes import Scope
 from repro.scord.races import RaceType
-from repro.scor.apps.base import RaceFlag, ScorApp
+from repro.scor.apps.base import DEFAULT_SEED, RaceFlag, ScorApp
 
 _SPIN_LIMIT = 500
 
@@ -62,8 +62,8 @@ class Rule110App(ScorApp):
         ),
     )
 
-    def __init__(self, races=(), seed: int = 1, n: int = 2048, grid: int = 8,
-                 block_dim: int = 32, iterations: int = 4):
+    def __init__(self, races=(), seed: int = DEFAULT_SEED, n: int = 2048,
+                 grid: int = 8, block_dim: int = 32, iterations: int = 4):
         super().__init__(races, seed)
         self.n = n
         self.grid = grid

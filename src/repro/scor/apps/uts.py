@@ -33,7 +33,7 @@ from repro.common.rng import hash_u64
 from repro.engine.gpu import GPU
 from repro.isa.scopes import Scope
 from repro.scord.races import RaceType
-from repro.scor.apps.base import RaceFlag, ScorApp
+from repro.scor.apps.base import DEFAULT_SEED, RaceFlag, ScorApp
 
 _MAX_DEPTH = 5
 _BRANCH_MOD = 5  # children drawn from 0..4 (mean 2)
@@ -119,7 +119,7 @@ class UnbalancedTreeSearchApp(ScorApp):
         ),
     )
 
-    def __init__(self, races=(), seed: int = 10, num_trees: int = 24,
+    def __init__(self, races=(), seed: int = DEFAULT_SEED, num_trees: int = 24,
                  grid: int = 6, block_dim: int = 16):
         super().__init__(races, seed)
         self.roots = make_roots(num_trees, seed)

@@ -31,7 +31,9 @@ Groups::
 host is either a simulating :class:`~repro.engine.gpu.GPU` or scolint's
 :class:`~repro.scolint.driver.LintGPU`: both expose the same host API,
 so one launcher per kind (``launch_micro``, ``ScorApp.run``,
-``launch_litmus``) serves every tool.
+``launch_litmus``) serves every tool.  Applications are built at the
+default input seed (``repro.scor.apps.base.DEFAULT_SEED``), the seed
+Table VI and every campaign simulate.
 
 Registries are imported on first use, so importing this module is
 cheap.

@@ -43,7 +43,6 @@ import time
 from typing import Optional
 
 from repro.telemetry.flight import (
-    FLIGHT_SCHEMA,
     NULL_FLIGHT,
     FlightConfig,
     FlightRecorder,
@@ -72,7 +71,6 @@ __all__ = [
     "FlightConfig",
     "FlightRecorder",
     "NullFlightRecorder",
-    "FLIGHT_SCHEMA",
     "NULL_FLIGHT",
     "NULL_TRACER",
     "WALL_PID",
@@ -222,15 +220,12 @@ class Telemetry:
         self,
         trace_path: Optional[str] = None,
         metrics_path: Optional[str] = None,
-        flight_path: Optional[str] = None,
     ) -> list:
         """Write the run's artifacts; returns the paths written.
 
         *trace_path* receives the Chrome trace JSON plus a sibling
         ``.jsonl`` stream; *metrics_path* receives the Prometheus text
-        exposition plus a sibling ``.json`` document; *flight_path*
-        receives the flight recorder's JSONL event log (when capture is
-        enabled).
+        exposition plus a sibling ``.json`` document.
         """
         written = []
         if trace_path:
@@ -239,9 +234,6 @@ class Telemetry:
             jsonl = os.path.splitext(os.fspath(trace_path))[0] + ".jsonl"
             self.tracer.write_jsonl(jsonl)
             written.append(jsonl)
-        if flight_path and self.flight.enabled:
-            self.flight.write_jsonl(flight_path)
-            written.append(os.fspath(flight_path))
         if metrics_path:
             self.metrics.write_prometheus(metrics_path)
             written.append(os.fspath(metrics_path))

@@ -3,10 +3,10 @@
 Race *detection* answers "did these two accesses race"; race *forensics*
 needs the events around the verdict — what each warp loaded, stored,
 fenced and waited on, in simulated order.  The flight recorder is that
-capture layer: a bounded, sampling-aware event log fed by a delegating
-detector wrapper (:class:`repro.scord.capture.FlightCapture`), exported
-as canonical JSONL and as Chrome-trace instants keyed to the telemetry
-sim-timeline.
+capture layer: a bounded event log fed by a delegating detector wrapper
+(:class:`repro.scord.capture.FlightCapture`).  Forensics bundles
+(:mod:`repro.forensics.bundle`) embed the slice of it around each race,
+and the model checker slices it per scheduled step.
 
 Two capture modes:
 
@@ -14,10 +14,6 @@ Two capture modes:
   evicted, like a hardware flight recorder.  Bounded memory on runs of
   any length.
 * ``full`` — keep everything (short runs, golden fixtures).
-
-Sync events (fences, barriers, kernel boundaries) and race events are
-always recorded; plain access events honor ``sample_interval`` so long
-campaigns can keep a sparse access context cheaply.
 
 The **NULL path is zero-cost by construction**: when flight capture is
 off, no wrapper is installed around the detector and the engine hot
@@ -29,54 +25,35 @@ runner) so ``telemetry.flight`` is always safe to touch.
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
 from collections import deque
 from typing import Dict, Iterable, List, Optional, Tuple
-
-#: bump when the JSONL event shape changes incompatibly
-FLIGHT_SCHEMA = "flight-log/v1"
-
-#: access-event kinds (mirrors AccessKind values) vs always-on events
-ACCESS_KINDS = ("ld", "st", "atom")
-SYNC_KINDS = ("fence", "barrier", "kernel")
 
 
 @dataclasses.dataclass(frozen=True)
 class FlightConfig:
     """How the recorder captures.
 
-    *mode* is ``"ring"`` or ``"full"``; *capacity* bounds the ring;
-    *sample_interval* records every Nth plain access event (1 = all;
-    sync and race events are never sampled out).
+    *mode* is ``"ring"`` or ``"full"``; *capacity* bounds the ring.
     """
 
     mode: str = "ring"
     capacity: int = 65536
-    sample_interval: int = 1
 
     def __post_init__(self):
         if self.mode not in ("ring", "full"):
             raise ValueError(f"flight mode must be ring|full, not {self.mode!r}")
         if self.capacity < 1:
             raise ValueError("flight capacity must be >= 1")
-        if self.sample_interval < 1:
-            raise ValueError("flight sample_interval must be >= 1")
 
     def to_dict(self) -> dict:
         """Wire form (campaign/pool worker payloads)."""
-        return {
-            "mode": self.mode,
-            "capacity": self.capacity,
-            "sample_interval": self.sample_interval,
-        }
+        return {"mode": self.mode, "capacity": self.capacity}
 
     @staticmethod
     def from_dict(payload: dict) -> "FlightConfig":
         return FlightConfig(
             mode=payload.get("mode", "ring"),
             capacity=int(payload.get("capacity", 65536)),
-            sample_interval=int(payload.get("sample_interval", 1)),
         )
 
 
@@ -154,7 +131,7 @@ class FlightEvent:
 
 
 class FlightRecorder:
-    """Bounded event capture with always-on sync/race recording."""
+    """Bounded event capture of accesses, syncs and race verdicts."""
 
     enabled = True
 
@@ -165,9 +142,7 @@ class FlightRecorder:
         else:
             self.events: List[FlightEvent] = []  # type: ignore[no-redef]
         self.recorded = 0
-        self.sampled_out = 0
         self.races = 0
-        self._tick = 0
 
     # ------------------------------------------------------------------
     # Capture (called from the FlightCapture detector wrapper)
@@ -185,12 +160,6 @@ class FlightRecorder:
         array: Optional[str],
         lane_id: int,
     ) -> None:
-        interval = self.config.sample_interval
-        if interval > 1:
-            self._tick += 1
-            if self._tick % interval:
-                self.sampled_out += 1
-                return
         self.recorded += 1
         self.events.append(FlightEvent(
             cycle, kind, block_id, warp_id,
@@ -278,75 +247,14 @@ class FlightRecorder:
                 found = event
         return found
 
-    def stats(self) -> dict:
-        return {
-            "mode": self.config.mode,
-            "capacity": self.config.capacity,
-            "sample_interval": self.config.sample_interval,
-            "recorded": self.recorded,
-            "live": len(self.events),
-            "dropped": self.dropped,
-            "sampled_out": self.sampled_out,
-            "races": self.races,
-        }
-
     def collect_metrics(self) -> Dict[str, float]:
         """``flight.*`` gauges for the telemetry metrics registry."""
         return {
             "flight.events.recorded": float(self.recorded),
             "flight.events.live": float(len(self.events)),
             "flight.events.dropped": float(self.dropped),
-            "flight.events.sampled_out": float(self.sampled_out),
             "flight.races": float(self.races),
         }
-
-    # ------------------------------------------------------------------
-    # Export
-    # ------------------------------------------------------------------
-    def write_jsonl(self, path) -> None:
-        """Canonical JSONL: one header line, then one line per event."""
-        with open(path, "w") as handle:
-            header = {"schema": FLIGHT_SCHEMA, **self.stats()}
-            handle.write(json.dumps(header, sort_keys=True) + "\n")
-            for event in self.events:
-                handle.write(
-                    json.dumps(event.to_dict(), sort_keys=True) + "\n"
-                )
-
-    def chrome_events(self, track: int = 0) -> List[dict]:
-        """Chrome-trace instants on the telemetry sim-timeline.
-
-        Emitted with the same pid (:data:`~repro.telemetry.tracing.SIM_PID`)
-        and track scheme as the tracer's ``sim_instant`` events, so a
-        merged trace shows accesses under the kernel spans.
-        """
-        from repro.telemetry.tracing import SIM_PID
-
-        out = []
-        for event in self.events:
-            args = {k: v for k, v in event.to_dict().items()
-                    if k not in ("cycle", "kind")}
-            out.append({
-                "name": f"flight:{event.kind}",
-                "ph": "i",
-                "pid": SIM_PID,
-                "tid": track,
-                "ts": event.cycle,
-                "s": "t",
-                "cat": "flight",
-                "args": args,
-            })
-        return out
-
-    def export(self, path, chrome_path=None, track: int = 0) -> List[str]:
-        """Write the JSONL log (and optionally a standalone Chrome trace)."""
-        written = [os.fspath(path)]
-        self.write_jsonl(path)
-        if chrome_path:
-            with open(chrome_path, "w") as handle:
-                json.dump({"traceEvents": self.chrome_events(track)}, handle)
-            written.append(os.fspath(chrome_path))
-        return written
 
 
 class NullFlightRecorder(FlightRecorder):

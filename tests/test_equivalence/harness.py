@@ -24,7 +24,7 @@ Three unit shapes:
     one of the 32 Table I microbenchmarks under full ScoRD;
 ``app``
     one ScoR application configuration: (app, detector, racy?) at the
-    app's default seed;
+    seed its fixture was recorded at (``APP_SEEDS``);
 ``sweep``
     one (app, seed) point of the 20-seed schedule sweep with the app's
     representative planted race enabled — recorded as digests to keep
@@ -37,7 +37,7 @@ import hashlib
 import json
 
 from repro.arch.detector_config import DetectorConfig
-from repro.scor.apps.base import run_app
+from repro.scor.apps.base import DEFAULT_SEED, run_app
 from repro.scor.apps.registry import ALL_APPS, app_by_name
 from repro.scor.micro.base import run_micro
 from repro.scor.micro.registry import ALL_MICROS
@@ -67,6 +67,11 @@ RACY_FLAGS = {
     "1DC": "block_scope_out",
     "UTS": "steal_local",
 }
+
+#: input seeds the app fixtures were recorded at where they differ from
+#: the default seed (GCON and UTS once defaulted to these), kept so the
+#: goldens still bind the same graph and trees
+APP_SEEDS = {"GCON": 2, "UTS": 10}
 
 #: the tier-2 sweep's seed set, reused so the two tiers cover the same
 #: schedule neighbourhood
@@ -125,7 +130,7 @@ def capture_app(app_name: str, detector: str, racy: bool) -> dict:
     """Run one application configuration; return its record."""
     app_cls = app_by_name(app_name)
     races = (RACY_FLAGS[app_name],) if racy else ()
-    app = app_cls(races=races)
+    app = app_cls(races=races, seed=APP_SEEDS.get(app_name, DEFAULT_SEED))
     gpu = run_app(app, detector_config=APP_DETECTORS[detector]())
     record = _full_record(gpu)
     try:

@@ -29,12 +29,6 @@ pytestmark = pytest.mark.tier2
 CASES = [target for target in expand_targets(["suite"])
          if target.expected_types]
 
-#: Table VI's one known dynamic miss (43/44): the schedule does not
-#: always drive the racing steal, so ScoRD may legitimately see no race
-#: — there is then nothing to explain, and that is the pinned behavior
-#: (see tests/test_scor/test_apps_races.py KNOWN_SCORD_FALSE_NEGATIVES).
-KNOWN_DYNAMIC_MISSES = {"app:UTS+block_exch_global"}
-
 
 def test_suite_injects_exactly_44_races():
     assert len(CASES) == 44
@@ -46,9 +40,6 @@ def test_suite_injects_exactly_44_races():
 def test_bundles_agree_with_scolint(case):
     # The uncontrolled full-capture ScoRD run (mc's schedule #0).
     gpu = resolve_target(case.label).execute(None)
-    if case.label in KNOWN_DYNAMIC_MISSES and not gpu.races.unique_races:
-        assert bundles_for_gpu(gpu, source=case.label) == []
-        return
     failures = check_bundles(case.label, gpu, case.expected_types)
     assert failures == [], "\n".join(failures)
 

@@ -7,11 +7,8 @@ configurations (14 clean micros + 7 app defaults) — is upgraded from
 *proven* verdicts:
 
 * every injected race must be ``proven_racy`` with a replayable
-  witness.  That includes ``UTS+block_exch_global``, the documented
-  cached-ScoRD false negative (metadata aliasing, Table VI): the race
-  is proven under the uncached ``base`` judge — the miss is a cache
-  artifact, not a schedule gap, and the schedule witness exists either
-  way;
+  witness under the ScoRD judge at the default input seed, Table VI's
+  input;
 * no race-free configuration may ever produce a witness (zero false
   positives).  Race-free *micros* additionally drain their frontier to
   ``proven_race_free`` with a prune ratio > 1; race-free *apps* have
@@ -36,10 +33,6 @@ from repro.scor.micro.registry import ALL_MICROS
 from repro.scord.races import RaceType
 
 pytestmark = pytest.mark.mc
-
-#: the documented cached-ScoRD false negative: proven under the
-#: uncached base judge (see tests/test_scor/test_apps_races.py)
-ALIASING_HIDDEN = {("UTS", "block_exch_global")}
 
 RACY_MICROS = sorted(m.name for m in ALL_MICROS if m.racey)
 CLEAN_MICROS = sorted(m.name for m in ALL_MICROS if not m.racey)
@@ -115,11 +108,10 @@ def test_clean_micro_is_proven_race_free(name):
 
 @pytest.mark.parametrize(("app", "flag"), RACY_APPS)
 def test_racy_app_config_is_proven_racy(app, flag):
-    detector = "base" if (app, flag) in ALIASING_HIDDEN else "scord"
-    target = resolve_target(f"app:{app}+{flag}", detector=detector)
+    target = resolve_target(f"app:{app}+{flag}")
     report = explore(target, budget=RACY_BUDGET)
     assert report["verdict"] == "proven_racy", (app, flag, report)
-    assert report["detector"] == detector
+    assert report["detector"] == "scord"
     _check_witness_types(report)
 
 

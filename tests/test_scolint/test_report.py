@@ -10,21 +10,19 @@ import pytest
 from repro.experiments.cli import main
 from repro.scolint import (
     as_report,
-    lint_app,
+    lint_target,
     render_json,
     render_text,
 )
-from repro.scor.apps.registry import app_by_name
+from repro.targets import parse_target
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_red.json")
 
 
 def _red_results():
-    app = app_by_name("RED")
     return [
-        lint_app(app),
-        lint_app(app, races=("block_fence",)),
-        lint_app(app, races=("block_count",)),
+        lint_target(parse_target(spec))
+        for spec in ("app:RED", "app:RED+block_fence", "app:RED+block_count")
     ]
 
 

@@ -1,11 +1,8 @@
 """Unit tests for the flight recorder (repro.telemetry.flight)."""
 
-import json
-
 import pytest
 
 from repro.telemetry import (
-    FLIGHT_SCHEMA,
     NULL_FLIGHT,
     FlightConfig,
     FlightRecorder,
@@ -28,7 +25,6 @@ class TestFlightConfig:
         config = FlightConfig()
         assert config.mode == "ring"
         assert config.capacity == 65536
-        assert config.sample_interval == 1
 
     def test_rejects_bad_mode(self):
         with pytest.raises(ValueError):
@@ -38,12 +34,8 @@ class TestFlightConfig:
         with pytest.raises(ValueError):
             FlightConfig(capacity=0)
 
-    def test_rejects_bad_sample_interval(self):
-        with pytest.raises(ValueError):
-            FlightConfig(sample_interval=0)
-
     def test_dict_roundtrip(self):
-        config = FlightConfig(mode="full", capacity=128, sample_interval=4)
+        config = FlightConfig(mode="full", capacity=128)
         assert FlightConfig.from_dict(config.to_dict()) == config
 
 
@@ -62,23 +54,6 @@ class TestRingMode:
         _fill(recorder, 20)
         assert len(recorder.events) == 20
         assert recorder.dropped == 0
-
-    def test_sampling_skips_plain_accesses(self):
-        recorder = FlightRecorder(
-            FlightConfig(mode="full", sample_interval=4)
-        )
-        _fill(recorder, 16)
-        assert recorder.recorded == 4
-        assert recorder.sampled_out == 12
-
-    def test_sync_events_never_sampled_out(self):
-        recorder = FlightRecorder(
-            FlightConfig(mode="full", sample_interval=100)
-        )
-        for i in range(10):
-            recorder.record_sync(i, "fence", 0, 0, scope="device")
-        assert recorder.recorded == 10
-        assert recorder.sampled_out == 0
 
 
 class TestSlicing:
@@ -114,25 +89,6 @@ class TestSlicing:
 
 
 class TestExport:
-    def test_jsonl_header_and_events(self, tmp_path):
-        recorder = FlightRecorder(FlightConfig(mode="full"))
-        _fill(recorder, 3)
-        recorder.record_race(9, {"block": 0, "warp": 0, "addr": 0x10})
-        path = tmp_path / "flight.jsonl"
-        recorder.write_jsonl(path)
-        lines = [json.loads(l) for l in path.read_text().splitlines()]
-        assert lines[0]["schema"] == FLIGHT_SCHEMA
-        assert lines[0]["recorded"] == 4
-        assert len(lines) == 5
-        assert lines[-1]["kind"] == "race"
-
-    def test_chrome_events_are_instants(self):
-        recorder = FlightRecorder(FlightConfig(mode="full"))
-        _fill(recorder, 2)
-        events = recorder.chrome_events()
-        assert all(e["ph"] == "i" and e["cat"] == "flight" for e in events)
-        assert [e["ts"] for e in events] == [0, 1]
-
     def test_collect_metrics_names(self):
         recorder = FlightRecorder(FlightConfig(mode="ring", capacity=4))
         _fill(recorder, 6)
@@ -182,13 +138,3 @@ class TestTelemetryIntegration:
         telemetry.flight = FlightRecorder(FlightConfig(mode="full"))
         _fill(telemetry.flight, 1)
         assert telemetry.metrics.snapshot()["flight.events.recorded"] == 1.0
-
-    def test_export_writes_flight_jsonl(self, tmp_path):
-        telemetry = Telemetry(
-            TraceConfig(enabled=False), flight=FlightConfig(mode="full")
-        )
-        _fill(telemetry.flight, 2)
-        path = tmp_path / "flight.jsonl"
-        written = telemetry.export(flight_path=path)
-        assert str(path) in written
-        assert path.exists()
